@@ -1,32 +1,30 @@
-// Command rploadgen is the load harness for the sharded mining service: it
-// simulates thousands of tenants firing Zipf-skewed mining traffic, sweeps
-// the engine shard count, and writes latency percentiles, shed rates, and
-// admission-control behavior to a BENCH_serve.json baseline — the serving
-// companion to rpbench's algorithm baselines.
+// Command rploadgen is the load harness for the mining service: it
+// simulates thousands of tenants firing Zipf-skewed mining traffic and
+// writes latency percentiles, shed rates, and admission-control behavior to
+// a BENCH_serve.json baseline — the serving companion to rpbench's
+// algorithm baselines.
 //
-//	rploadgen                         # full run: 10k tenants, shards 1,2,4,8
+//	rploadgen                         # full run: 10k tenants
 //	rploadgen -quick                  # CI-sized smoke run
-//	rploadgen -tenants 2000 -requests 10000 -conc 16 -shards 1,4
+//	rploadgen -tenants 2000 -requests 10000 -conc 16
 //	rploadgen -addr localhost:8080    # drive an already-running rpserved
 //	rploadgen -quick -cluster 2 -rpserved ./rpserved   # spawn a real cluster
 //
-// In the default in-process mode the harness builds the service per shard
-// count and drives its handler directly (no sockets), so measured latencies
-// are the service stack — router, admission, locks, lattice, mining — not
-// loopback noise. With -addr it instead targets a live server over real
-// HTTP and reports a single entry (configure shards and quotas on the
-// server, via rpserved's flags). With -cluster N it spawns N `rpserved
-// -role shard` processes plus a router from the binary named by -rpserved,
-// drives the workload through the router over loopback HTTP, and reports a
-// "cluster" entry — comparing it against the "zipf" entry at the same shard
-// count prices the process boundary.
+// In the default in-process mode the harness builds the service and drives
+// its handler directly (no sockets), so measured latencies are the service
+// stack — admission, locks, lattice, mining — not loopback noise. With
+// -addr it instead targets a live server over real HTTP and reports a
+// single entry (configure quotas on the server, via rpserved's flags). With
+// -cluster N it spawns N `rpserved -role shard` processes plus a router
+// from the binary named by -rpserved, drives the workload through the
+// router over loopback HTTP, and reports a "cluster" entry — comparing it
+// against the in-process "zipf" entry prices the router and the process
+// boundary.
 //
 // The workload is deliberately cache-hostile: every tenant owns a small
 // database, the lattice budget is far below the working set, and tenant
 // selection is Zipf-skewed — so hot tenants are served from the lattice
-// while cold tenants force installs that pay eviction scans. The shard sweep
-// then shows how splitting the store (and the entry and queue locks) changes
-// the tail.
+// while cold tenants force installs that evict.
 package main
 
 import (
@@ -34,8 +32,6 @@ import (
 	"fmt"
 	"log"
 	"os"
-	"strconv"
-	"strings"
 
 	"gogreen/internal/bench"
 )
@@ -45,9 +41,8 @@ func main() {
 		quick    = flag.Bool("quick", false, "CI-sized smoke run")
 		out      = flag.String("out", "BENCH_serve.json", "output report path (\"-\" = stdout)")
 		tenants  = flag.Int("tenants", 0, "simulated tenant count (0 = mode default)")
-		requests = flag.Int("requests", 0, "mining requests per shard-grid point (0 = mode default)")
+		requests = flag.Int("requests", 0, "mining requests in the zipf phase (0 = mode default)")
 		conc     = flag.Int("conc", 0, "concurrent client workers (0 = mode default)")
-		shards   = flag.String("shards", "", "comma-separated shard-count grid (default 1,2,4,8; quick 1,2)")
 		budgetKB = flag.Int64("cache-budget-kb", 0, "lattice budget in KiB (0 = mode default)")
 		addr     = flag.String("addr", "", "drive a running service at this host:port instead of in-process servers")
 		cluster  = flag.Int("cluster", 0, "spawn this many shard processes plus a router and drive the cluster (needs -rpserved)")
@@ -67,13 +62,6 @@ func main() {
 	}
 	if *budgetKB > 0 {
 		cfg.CacheBudget = *budgetKB << 10
-	}
-	if *shards != "" {
-		grid, err := parseShards(*shards)
-		if err != nil {
-			log.Fatalf("rploadgen: %v", err)
-		}
-		cfg.Shards = grid
 	}
 
 	progress := func(msg string) { fmt.Fprintln(os.Stderr, "rploadgen: "+msg) }
@@ -105,19 +93,6 @@ func main() {
 		log.Fatalf("rploadgen: %v", err)
 	}
 	fmt.Fprintf(os.Stderr, "rploadgen: wrote %s\n", *out)
-}
-
-// parseShards parses the -shards grid.
-func parseShards(s string) ([]int, error) {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || n < 1 {
-			return nil, fmt.Errorf("bad -shards entry %q (want positive integers)", f)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }
 
 // summarize prints a human-readable table of the run to stderr.

@@ -5,12 +5,9 @@
 //
 //	rpserved -addr :8080 -mine-timeout 30s -workers 4 -queue 64
 //
-// The service scales horizontally in-process: -shards N puts a consistent-
-// hashing router in front of N engine shards, each owning its own database
-// map, job pool, and lattice store slice (GET /shards reports per-shard
-// occupancy).
-//
-// The same binary also deploys the ring across processes — the shape is
+// One process runs one engine shard: its database map, job pool and
+// lattice store (GET /shards reports its occupancy). The service scales out
+// across processes — the same binary runs every role, so the shape is
 // configuration, not code:
 //
 //	rpserved -role shard -shard-index 0 -addr :9000   # shard process 0
@@ -47,11 +44,14 @@
 //	curl localhost:8080/jobs/j1           # poll
 //	curl -X DELETE localhost:8080/jobs/j1 # cancel mid-recursion
 //
-// With -data-dir the service is durable: every shard persists uploads,
-// saved pattern sets and installed lattice rungs to an append-only segment
-// store (fsync'd before the response), restart replays them, and
-// -cold-after spills long-untouched databases to disk stubs that rehydrate
-// on first touch. -snapshot-interval paces background compaction.
+// With -data-dir the service is durable: the shard persists uploads, saved
+// pattern sets and installed lattice rungs to an append-only segment store
+// under <dir>/shard-<i> (fsync'd before the response), restart replays
+// them, and -cold-after spills long-untouched databases to disk stubs that
+// rehydrate on first touch. -snapshot-interval paces background compaction.
+// A process refuses to start on a data dir holding another ring position's
+// store, naming the `-role shard -shard-index <j>` process that should
+// serve it.
 //
 // Mining responses flow through the materialized threshold lattice (disable
 // with -lattice=false, budget with -cache-budget-mb, snap installs to a grid
@@ -93,7 +93,6 @@ func main() {
 		workers       = flag.Int("workers", 0, "async mining workers (0 = NumCPU)")
 		mineWorkers   = flag.Int("mine-workers", 0, "worker pool per mining run (0 = serial, -1 = GOMAXPROCS)")
 		queue         = flag.Int("queue", 64, "async job queue depth")
-		shards        = flag.Int("shards", 1, "engine shard count (databases are routed by consistent hashing)")
 		maxDBs        = flag.Int("tenant-max-dbs", 0, "per-tenant resident database quota (0 = unlimited)")
 		maxJobs       = flag.Int("tenant-max-jobs", 0, "per-tenant queued async job quota (0 = unlimited)")
 		maxPatMB      = flag.Int64("tenant-max-pattern-mb", 0, "per-tenant saved-pattern budget in MiB (0 = unlimited)")
@@ -119,9 +118,6 @@ func main() {
 		if *shardIndex < 0 {
 			log.Fatal("rpserved: -role shard requires -shard-index")
 		}
-		if *shards > 1 {
-			log.Fatal("rpserved: a shard process runs one engine shard; scale with more processes, not -shards")
-		}
 	case "router":
 		runRouter(*addr, *shardAddrs, *probeInterval, *probeFailures, *drain)
 		return
@@ -140,7 +136,6 @@ func main() {
 		server.WithWorkers(*workers),
 		server.WithMineWorkers(*mineWorkers),
 		server.WithQueueDepth(*queue),
-		server.WithShards(*shards),
 		server.WithQuotas(shard.Quotas{
 			MaxDBs:          *maxDBs,
 			MaxQueuedJobs:   *maxJobs,

@@ -1,10 +1,10 @@
 // Serve is the service load harness behind cmd/rploadgen: it drives the
-// sharded HTTP service with a Zipf-skewed many-tenant workload and renders
-// latency percentiles, shed rates, and admission-control behavior as the
-// checked-in BENCH_serve.json baseline. The interesting question it answers
-// is not "how fast is one mine" (BENCH_mine.json's job) but "what happens to
-// tail latency when thousands of tenants share one service" — and how the
-// shard count and per-tenant quotas change that answer.
+// HTTP service with a Zipf-skewed many-tenant workload and renders latency
+// percentiles, shed rates, and admission-control behavior as the checked-in
+// BENCH_serve.json baseline. The interesting question it answers is not
+// "how fast is one mine" (BENCH_mine.json's job) but "what happens to tail
+// latency when thousands of tenants share one service" — and how per-tenant
+// quotas change that answer.
 package bench
 
 import (
@@ -30,15 +30,13 @@ type ServeConfig struct {
 	// database (drawn from a fixed pool of generated contents) named after
 	// itself.
 	Tenants int
-	// Requests is the mining-request count per shard-grid point.
+	// Requests is the mining-request count of the zipf phase.
 	Requests int
 	// Concurrency is the number of concurrent client workers.
 	Concurrency int
-	// Shards is the shard-count grid; every point runs the same workload.
-	Shards []int
 	// CacheBudget is the lattice store budget in bytes. Size it well below
 	// Tenants × rung-size: the harness is specifically about behavior under
-	// cache pressure, where every install pays an eviction scan.
+	// cache pressure, where installs evict.
 	CacheBudget int64
 	// ZipfS is the skew exponent of tenant selection (>1; higher = hotter
 	// hot tenants).
@@ -57,7 +55,6 @@ func DefaultServeConfig(quick bool) ServeConfig {
 			Tenants:     600,
 			Requests:    3000,
 			Concurrency: 8,
-			Shards:      []int{1, 2},
 			CacheBudget: 1 << 19, // 512 KiB: ~hundreds of resident rungs
 			ZipfS:       1.2,
 			Seed:        20040303,
@@ -68,8 +65,7 @@ func DefaultServeConfig(quick bool) ServeConfig {
 		Tenants:     10000,
 		Requests:    40000,
 		Concurrency: 32,
-		Shards:      []int{1, 2, 4, 8},
-		CacheBudget: 8 << 20, // 8 MiB: thousands of resident rungs at 1 shard
+		CacheBudget: 8 << 20, // 8 MiB: thousands of resident rungs
 		ZipfS:       1.2,
 		Seed:        20040303,
 		Quick:       false,
@@ -78,14 +74,17 @@ func DefaultServeConfig(quick bool) ServeConfig {
 
 // ServeEntry is one measured phase of the load harness.
 type ServeEntry struct {
-	// Phase is "zipf" (the shard-grid workload), "quota-baseline" (in-quota
-	// tenants alone), or "quota-abuse" (same, with an over-quota tenant
-	// hammering concurrently).
-	Phase       string `json:"phase"`
-	Shards      int    `json:"shards"`
-	Tenants     int    `json:"tenants"`
-	Requests    int    `json:"requests"`
-	Concurrency int    `json:"concurrency"`
+	// Phase is "zipf" (the mining workload), "quota-baseline" (in-quota
+	// tenants alone), "quota-abuse" (same, with an over-quota tenant
+	// hammering concurrently), "cluster" (the zipf workload through a router
+	// over shard processes) or "external" (against a running service).
+	Phase string `json:"phase"`
+	// Shards is the engine shard count serving the phase: 1 in-process, the
+	// shard-process count for "cluster", 0 (unknown) for "external".
+	Shards      int `json:"shards"`
+	Tenants     int `json:"tenants"`
+	Requests    int `json:"requests"`
+	Concurrency int `json:"concurrency"`
 
 	P50Ms  float64 `json:"p50_ms"`
 	P90Ms  float64 `json:"p90_ms"`
@@ -104,15 +103,10 @@ type ServeEntry struct {
 	ShedRate float64 `json:"shed_rate"`
 
 	// Lattice counters over the phase: hits answer without mining, installs
-	// each paid an eviction scan of the owning shard's resident rungs.
+	// materialize a mined rung and may evict least recently used ones.
 	CacheHits     int64 `json:"cache_hits"`
 	CacheInstalls int64 `json:"cache_installs"`
 	CacheEvicts   int64 `json:"cache_evictions"`
-
-	// P99VsOneShard is the 1-shard zipf p99 divided by this entry's (zipf
-	// entries only; the 1-shard row reports 1). >1 means this shard count
-	// has the lower tail.
-	P99VsOneShard float64 `json:"p99_vs_one_shard,omitempty"`
 
 	// AbuserRequests/AbuserRejected describe the over-quota tenant's
 	// traffic in the quota-abuse phase.
@@ -130,10 +124,9 @@ type ServeReport struct {
 	Tenants     int     `json:"tenants"`
 	CacheBudget int64   `json:"cache_budget_bytes"`
 	ZipfS       float64 `json:"zipf_s"`
-	// Warning flags measurement-validity caveats. On a single-core machine
-	// multi-shard tail-latency gains are real but come from smaller
-	// per-shard eviction scans and critical sections, not parallelism —
-	// the warning keeps that claim honest.
+	// Warning flags measurement-validity caveats: with more client workers
+	// than cores, the clients and the server share the Go scheduler, so the
+	// tail includes time a client goroutine waited for a core.
 	Warning string       `json:"warning,omitempty"`
 	Entries []ServeEntry `json:"entries"`
 }
@@ -331,52 +324,50 @@ func entryFrom(phase string, shards, tenants, conc int, st phaseStats) ServeEntr
 	return e
 }
 
-// ServePerf runs the full harness: the Zipf workload across the shard grid,
-// then the admission-control pair (in-quota tenants with and without an
-// over-quota abuser) at the grid's largest shard count.
+// abuserAttempts is how many database uploads the over-quota tenant makes
+// in the quota-abuse phase, per database it is allowed: a fixed count, so
+// the abuser is rejected however the scheduler interleaves it with the
+// in-quota load.
+const abuserAttempts = 40
+
+// ServePerf runs the full harness in-process: the Zipf workload, then the
+// admission-control pair (in-quota tenants with and without an over-quota
+// abuser).
 func ServePerf(cfg ServeConfig, progress func(string)) (ServeReport, error) {
 	if progress == nil {
 		progress = func(string) {}
 	}
 	rep := newServeReport(cfg)
-	if runtime.NumCPU() == 1 {
-		rep.Warning = "single-core machine: multi-shard tail gains reflect smaller per-shard eviction scans and critical sections, not parallelism"
+	if procs := runtime.GOMAXPROCS(0); cfg.Concurrency > procs {
+		rep.Warning = fmt.Sprintf("%d client workers share GOMAXPROCS=%d with the server: "+
+			"a request whose client goroutine is descheduled waits out other goroutines' "+
+			"time slices, which can dominate the tail beyond p90; compare runs on the same machine only",
+			cfg.Concurrency, procs)
 	}
 	baskets := serveBaskets(32)
 
-	// Phase 1: the Zipf mining workload at every shard count.
-	var p99OneShard float64
-	for _, n := range cfg.Shards {
-		progress(fmt.Sprintf("zipf workload: %d tenants, %d requests, %d shards", cfg.Tenants, cfg.Requests, n))
-		srv := server.New(server.WithShards(n), server.WithCacheBudget(cfg.CacheBudget))
-		if err := uploadTenants(handlerDoer(srv), baskets, cfg.Tenants); err != nil {
-			srv.Shutdown(context.Background())
-			return rep, err
-		}
-		st, err := runMineLoad(handlerDoer(srv), cfg, cfg.Tenants, cfg.Requests, cfg.Concurrency)
-		if err != nil {
-			srv.Shutdown(context.Background())
-			return rep, err
-		}
-		e := entryFrom("zipf", n, cfg.Tenants, cfg.Concurrency, st)
-		e.CacheHits = srv.Registry().Counter("cache_hit").Value()
-		e.CacheInstalls = srv.Registry().Counter("cache_install").Value()
-		e.CacheEvicts = srv.Registry().Counter("cache_evict").Value()
-		if n == 1 {
-			p99OneShard = e.P99Ms
-		}
-		if p99OneShard > 0 && e.P99Ms > 0 {
-			e.P99VsOneShard = p99OneShard / e.P99Ms
-		}
-		rep.Entries = append(rep.Entries, e)
-		srv.Shutdown(context.Background())
+	// Phase 1: the Zipf mining workload.
+	progress(fmt.Sprintf("zipf workload: %d tenants, %d requests", cfg.Tenants, cfg.Requests))
+	srv := server.New(server.WithCacheBudget(cfg.CacheBudget))
+	err := uploadTenants(handlerDoer(srv), baskets, cfg.Tenants)
+	var st phaseStats
+	if err == nil {
+		st, err = runMineLoad(handlerDoer(srv), cfg, cfg.Tenants, cfg.Requests, cfg.Concurrency)
 	}
+	srv.Shutdown(context.Background())
+	if err != nil {
+		return rep, err
+	}
+	e := entryFrom("zipf", 1, cfg.Tenants, cfg.Concurrency, st)
+	e.CacheHits = srv.Registry().Counter("cache_hit").Value()
+	e.CacheInstalls = srv.Registry().Counter("cache_install").Value()
+	e.CacheEvicts = srv.Registry().Counter("cache_evict").Value()
+	rep.Entries = append(rep.Entries, e)
 
 	// Phase 2: admission control. In-quota tenants run the same mining
-	// workload at the largest shard count — first alone, then with one
-	// over-quota tenant hammering PUTs — so the pair of p50s answers "does
-	// an abusive tenant degrade everyone else" directly.
-	nShards := cfg.Shards[len(cfg.Shards)-1]
+	// workload — first alone, then with one over-quota tenant hammering
+	// PUTs — so the pair of p50s answers "does an abusive tenant degrade
+	// everyone else" directly.
 	qTenants := cfg.Tenants / 4
 	if qTenants < 10 {
 		qTenants = 10
@@ -388,45 +379,34 @@ func ServePerf(cfg ServeConfig, progress func(string)) (ServeReport, error) {
 		if abuse {
 			phase = "quota-abuse"
 		}
-		progress(fmt.Sprintf("%s: %d tenants, %d requests, %d shards", phase, qTenants, qRequests, nShards))
-		srv := server.New(server.WithShards(nShards),
-			server.WithCacheBudget(cfg.CacheBudget), server.WithQuotas(quotas))
+		progress(fmt.Sprintf("%s: %d tenants, %d requests", phase, qTenants, qRequests))
+		srv := server.New(server.WithCacheBudget(cfg.CacheBudget), server.WithQuotas(quotas))
 		do := handlerDoer(srv)
 		if err := uploadTenants(do, baskets, qTenants); err != nil {
 			return rep, err
 		}
-		stop := make(chan struct{})
 		abuserDone := make(chan [2]int, 1)
 		if abuse {
-			// The abuser tries to create unbounded databases as one tenant;
-			// after MaxDBs admissions everything is rejected at the door.
+			// The abuser tries to create far more databases than its quota
+			// as one tenant; after MaxDBs admissions everything is rejected
+			// at the door.
 			go func() {
 				tried, rejected := 0, 0
-				for i := 0; ; i++ {
-					select {
-					case <-stop:
-						abuserDone <- [2]int{tried, rejected}
-						return
-					default:
-					}
-					code, err := do("PUT", fmt.Sprintf("/db/abuser-%d", i), "abuser", baskets[i%len(baskets)])
-					if err != nil {
-						abuserDone <- [2]int{tried, rejected}
-						return
-					}
+				for i := 0; i < abuserAttempts*quotas.MaxDBs; i++ {
+					code, _ := do("PUT", fmt.Sprintf("/db/abuser-%d", i), "abuser", baskets[i%len(baskets)])
 					tried++
 					if code == 429 {
 						rejected++
 					}
 				}
+				abuserDone <- [2]int{tried, rejected}
 			}()
 		}
 		st, err := runMineLoad(do, cfg, qTenants, qRequests, cfg.Concurrency)
-		close(stop)
 		if err != nil {
 			return rep, err
 		}
-		e := entryFrom(phase, nShards, qTenants, cfg.Concurrency, st)
+		e := entryFrom(phase, 1, qTenants, cfg.Concurrency, st)
 		if abuse {
 			r := <-abuserDone
 			e.AbuserRequests, e.AbuserRejected = r[0], r[1]

@@ -3,8 +3,8 @@
 // binary and drives the Zipf workload through the router over real HTTP —
 // the same measurement ServePerf takes in-process, now with process
 // isolation and loopback forwarding in the request path. The delta between
-// a "zipf" entry and a "cluster" entry at the same shard count is the price
-// of the process boundary.
+// the in-process "zipf" entry and a "cluster" entry is the price of the
+// router hop and the process boundary.
 
 package bench
 

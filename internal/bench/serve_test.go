@@ -11,7 +11,6 @@ func microServeConfig() ServeConfig {
 		Tenants:     40,
 		Requests:    200,
 		Concurrency: 4,
-		Shards:      []int{1, 2},
 		CacheBudget: 64 << 10,
 		ZipfS:       1.2,
 		Seed:        20040303,
@@ -47,12 +46,13 @@ func TestServePerfSmoke(t *testing.T) {
 			t.Errorf("zipf phase (%d shards): installs=%d evictions=%d, want both > 0 (no cache pressure — the workload is mis-sized)",
 				e.Shards, e.CacheInstalls, e.CacheEvicts)
 		}
-		if e.Phase == "quota-abuse" && e.AbuserRejected == 0 {
-			t.Error("quota-abuse phase: the over-quota tenant was never rejected")
+		if e.Phase == "quota-abuse" && (e.AbuserRequests != 160 || e.AbuserRejected != 156) {
+			t.Errorf("quota-abuse phase: abuser rejected %d of %d uploads, want 156 of 160 (MaxDBs 4 admitted)",
+				e.AbuserRejected, e.AbuserRequests)
 		}
 	}
-	if phases["zipf"] != 2 || phases["quota-baseline"] != 1 || phases["quota-abuse"] != 1 {
-		t.Fatalf("phase mix = %v, want 2 zipf + 1 baseline + 1 abuse", phases)
+	if phases["zipf"] != 1 || phases["quota-baseline"] != 1 || phases["quota-abuse"] != 1 {
+		t.Fatalf("phase mix = %v, want 1 zipf + 1 baseline + 1 abuse", phases)
 	}
 
 	// The report round-trips through its own JSON rendering.

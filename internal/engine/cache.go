@@ -62,10 +62,9 @@ func (c CacheConfig) ResolveBudget() int64 {
 }
 
 // NewStore builds the private lattice store the config describes — nil when
-// the lattice is disabled. Long-lived owners call this (the sharded server
-// slices ResolveBudget across one store per shard) and key caches per
-// database; one-shot surfaces use SharedStore instead so rungs survive
-// across calls.
+// the lattice is disabled. Long-lived owners call this (the server builds
+// one store per process) and key caches per database; one-shot surfaces use
+// SharedStore instead so rungs survive across calls.
 func (c CacheConfig) NewStore() *lattice.Store {
 	if !c.Enabled {
 		return nil

@@ -16,7 +16,7 @@
 //   - mining fresh when no rung exists (a miss).
 //
 // Rungs from many databases share one Store with a single byte budget
-// (metered through memlimit's cost model) and one global LRU clock, so hot
+// (metered through memlimit's cost model) and one global LRU list, so hot
 // databases keep their ladders while cold ones age out — the "millions of
 // users re-mining the same shared datasets" scenario pays mining cost once
 // per (database, threshold) instead of once per request.
@@ -73,8 +73,10 @@ type rung struct {
 	bytes    int64
 	hits     int64
 	seeds    int64
-	seq      uint64 // global LRU clock value of the last touch
 	cache    *Cache
+	// prev/next link the rung into its store's LRU list, least recently
+	// touched first.
+	prev, next *rung
 }
 
 // Store is the shared pattern cache: every database's ladder lives in one
@@ -85,14 +87,36 @@ type Store struct {
 	budget int64
 	bytes  int64
 	rungs  int
-	seq    uint64
 	caches map[any]*Cache
+	// lru is the sentinel of the circular list of every resident rung:
+	// lru.next is the least recently touched, lru.prev the most.
+	lru rung
 }
 
 // NewStore returns an empty store with the given byte budget. A non-positive
 // budget means "no caching": installs are dropped immediately.
 func NewStore(budget int64) *Store {
-	return &Store{budget: budget, caches: map[any]*Cache{}}
+	s := &Store{budget: budget, caches: map[any]*Cache{}}
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
+	return s
+}
+
+// touchLocked moves r (resident or not yet linked) to the most recently
+// used end of the LRU list; caller holds s.mu.
+func (s *Store) touchLocked(r *rung) {
+	if r.next != nil {
+		s.unlinkLocked(r)
+	}
+	r.prev, r.next = s.lru.prev, &s.lru
+	s.lru.prev.next = r
+	s.lru.prev = r
+}
+
+// unlinkLocked removes r from the LRU list; caller holds s.mu.
+func (s *Store) unlinkLocked(r *rung) {
+	r.prev.next = r.next
+	r.next.prev = r.prev
+	r.prev, r.next = nil, nil
 }
 
 // SetBudget replaces the byte budget and evicts down to it.
@@ -100,7 +124,7 @@ func (s *Store) SetBudget(n int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.budget = n
-	s.evictOverLocked(nil)
+	s.evictLocked(nil)
 }
 
 // Budget returns the configured byte budget.
@@ -158,6 +182,7 @@ func (s *Store) Reset() {
 	}
 	s.caches = map[any]*Cache{}
 	s.bytes, s.rungs = 0, 0
+	s.lru.prev, s.lru.next = &s.lru, &s.lru
 }
 
 // dropCacheLocked removes c's rungs from the store accounting and the cache
@@ -166,29 +191,20 @@ func (s *Store) dropCacheLocked(c *Cache) {
 	for _, r := range c.rungs {
 		s.bytes -= r.bytes
 		s.rungs--
+		s.unlinkLocked(r)
 	}
 	c.rungs = nil
 	delete(s.caches, c.key)
 }
 
-// evictOverLocked evicts globally-LRU rungs until the store fits its
-// budget, never evicting keep (the rung just installed). Returns the number
-// of rungs evicted; caller holds s.mu.
-func (s *Store) evictOverLocked(keep *rung) int {
+// evictLocked evicts globally-LRU rungs until the store fits its budget,
+// never evicting keep (the rung just installed, and so the most recently
+// used). Returns the number of rungs evicted; caller holds s.mu.
+func (s *Store) evictLocked(keep *rung) int {
 	evicted := 0
 	for s.bytes > s.budget {
-		var victim *rung
-		for _, c := range s.caches {
-			for _, r := range c.rungs {
-				if r == keep {
-					continue
-				}
-				if victim == nil || r.seq < victim.seq {
-					victim = r
-				}
-			}
-		}
-		if victim == nil {
+		victim := s.lru.next
+		if victim == &s.lru || victim == keep {
 			break // only keep remains; Install pre-checked it fits
 		}
 		victim.cache.removeLocked(victim)
@@ -222,6 +238,7 @@ func (c *Cache) removeLocked(r *rung) {
 	}
 	c.store.bytes -= r.bytes
 	c.store.rungs--
+	c.store.unlinkLocked(r)
 	if len(c.rungs) == 0 {
 		delete(c.store.caches, c.key)
 	}
@@ -260,16 +277,14 @@ func (c *Cache) Best(minCount int) ([]mining.Pattern, int, Outcome) {
 		// Nearest rung at or below: its pattern set contains every answer
 		// pattern — the pure-filter path.
 		r := c.rungs[i-1]
-		c.store.seq++
-		r.seq = c.store.seq
+		c.store.touchLocked(r)
 		r.hits++
 		return r.patterns, r.minCount, Hit
 	}
 	// All rungs are above: the lowest one is the closest, i.e. the largest
 	// recyclable pattern set.
 	r := c.rungs[0]
-	c.store.seq++
-	r.seq = c.store.seq
+	c.store.touchLocked(r)
 	r.seeds++
 	return r.patterns, r.minCount, Relax
 }
@@ -321,21 +336,22 @@ func (c *Cache) Install(minCount int, fp []mining.Pattern) (installed bool, evic
 		// views stay coherent.
 		c = cur
 	}
-	s.seq++
 	i := sort.Search(len(c.rungs), func(i int) bool { return c.rungs[i].minCount >= minCount })
 	if i < len(c.rungs) && c.rungs[i].minCount == minCount {
 		old := c.rungs[i]
 		s.bytes += bytes - old.bytes
-		old.patterns, old.bytes, old.seq = fp, bytes, s.seq
-		return true, s.evictOverLocked(old)
+		old.patterns, old.bytes = fp, bytes
+		s.touchLocked(old)
+		return true, s.evictLocked(old)
 	}
-	r := &rung{minCount: minCount, patterns: fp, bytes: bytes, seq: s.seq, cache: c}
+	r := &rung{minCount: minCount, patterns: fp, bytes: bytes, cache: c}
+	s.touchLocked(r)
 	c.rungs = append(c.rungs, nil)
 	copy(c.rungs[i+1:], c.rungs[i:])
 	c.rungs[i] = r
 	s.bytes += bytes
 	s.rungs++
-	return true, s.evictOverLocked(r)
+	return true, s.evictLocked(r)
 }
 
 // Invalidate drops every rung of this ladder.
@@ -348,6 +364,7 @@ func (c *Cache) Invalidate() {
 	for _, r := range c.rungs {
 		c.store.bytes -= r.bytes
 		c.store.rungs--
+		c.store.unlinkLocked(r)
 	}
 	c.rungs = nil
 	delete(c.store.caches, c.key)

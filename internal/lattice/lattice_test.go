@@ -289,3 +289,24 @@ func TestConcurrentUse(t *testing.T) {
 		t.Fatalf("store over budget after concurrent use: %d > %d", s.Bytes(), s.Budget())
 	}
 }
+
+// BenchmarkInstallEvict measures one install that evicts one rung from a
+// store holding 3,000 resident rungs over 1,000 ladders — the cold-tenant
+// path of a cache-hostile serving workload.
+func BenchmarkInstallEvict(b *testing.B) {
+	fp := fpAt(5)
+	s := NewStore(3000 * memlimit.EstimatePatternBytes(fp))
+	keys := make([]string, 1000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%d", i)
+	}
+	for i := 0; i < 3000; i++ {
+		s.Cache(keys[i%1000]).Install(1+i/1000, fp)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Each pass over the keys installs at a threshold no ladder holds
+		// yet, so every install evicts.
+		s.Cache(keys[i%1000]).Install(4+(i/1000)%50, fp)
+	}
+}

@@ -1,12 +1,10 @@
-// The request router: the one component that knows the ring. It owns
-// request placement (consistent hashing on database id, job-id prefix
-// parsing), cross-shard aggregation (GET /db, /jobs, /shards), shard health
-// (periodic /healthz probes with consecutive-failure ejection) and ring
-// changes (in-flight requests to a departing shard drain before its backend
-// closes). Everything past placement goes through the shard.Backend seam,
-// so the same Router fronts in-process engine shards (the classic
-// single-binary server) and remote shard processes (`rpserved -role
-// router`) — the deployment shape is configuration, not code.
+// The request router: the one component that knows the ring. It fronts
+// shard processes (`rpserved -role router`) and owns request placement
+// (consistent hashing on database id, job-id prefix parsing), cross-shard
+// aggregation (GET /db, /jobs, /shards), shard health (periodic /healthz
+// probes with consecutive-failure ejection) and ring changes (in-flight
+// requests to a departing shard drain before its backend closes). Requests
+// reach the shards as forwarded HTTP through shard.Remote.
 package server
 
 import (
@@ -24,19 +22,11 @@ import (
 	"gogreen/internal/shard"
 )
 
-// Router fronts a ring of shard backends with the service's public HTTP
-// surface. Build one over remote shard processes with NewRouter; the
-// in-process Server builds its own over its engine shards. Safe for
-// concurrent use.
+// Router fronts a ring of shard processes with the service's public HTTP
+// surface. Build one with NewRouter. Safe for concurrent use.
 type Router struct {
-	reg            *metrics.Registry
-	metricsHandler http.Handler
+	reg *metrics.Registry
 
-	// remote marks a router over shard processes: health probing, transport
-	// failure tracking and SetShardAddrs apply only there. A router over
-	// in-process shards cannot lose one.
-	remote        bool
-	role          string
 	probeInterval time.Duration
 	probeFailures int
 
@@ -59,12 +49,12 @@ type Router struct {
 }
 
 // backendState is one ring slot: the backend plus the router-side health
-// and drain bookkeeping that must not live in the backend itself (a Backend
-// carries requests; whether to send them is the router's call).
+// and drain bookkeeping (a backend carries requests; whether to send them
+// is the router's call).
 type backendState struct {
 	index int
 	addr  string
-	b     shard.Backend
+	b     *shard.Remote
 
 	mu      sync.Mutex
 	healthy bool
@@ -120,8 +110,6 @@ func NewRouter(addrs []string, opts ...RouterOption) (*Router, error) {
 		return nil, fmt.Errorf("router: need at least one shard address")
 	}
 	rt := &Router{
-		remote:        true,
-		role:          "router",
 		probeInterval: 2 * time.Second,
 		probeFailures: 3,
 	}
@@ -131,7 +119,6 @@ func NewRouter(addrs []string, opts ...RouterOption) (*Router, error) {
 	if rt.reg == nil {
 		rt.reg = metrics.NewRegistry()
 	}
-	rt.metricsHandler = rt.reg.Handler()
 	rt.ejections = rt.reg.Counter("shard_unhealthy_total")
 	rt.recovered = rt.reg.Counter("shard_recovered_total")
 	rt.reg.GaugeFunc("shard_count", func() int64 {
@@ -175,24 +162,6 @@ func remoteBackends(addrs []string) ([]*backendState, error) {
 	return backends, nil
 }
 
-// newLocalRouter fronts the server's own engine shards. No probing: an
-// in-process shard cannot crash independently, and keeping the health
-// machinery off the local path keeps the N=1 surface — routes, metrics
-// names, response bytes — identical to the pre-seam server (plus /healthz).
-func newLocalRouter(s *Server) *Router {
-	rt := &Router{
-		role:           "server",
-		metricsHandler: s.reg.Handler(),
-		ring:           s.ring,
-	}
-	rt.backends = make([]*backendState, len(s.shards))
-	for i, sh := range s.shards {
-		b := newLocalBackend(sh)
-		rt.backends[i] = &backendState{index: i, addr: b.Addr(), b: b, healthy: true}
-	}
-	return rt
-}
-
 // routes is the router's endpoint table — the service's public surface, row
 // for row the shard table plus aggregation.
 func (rt *Router) routes() []route {
@@ -211,19 +180,12 @@ func (rt *Router) routes() []route {
 		{"DELETE /jobs/{id}", rt.forwardJob},
 		{"GET /shards", rt.handleShards},
 		{"GET /healthz", rt.handleHealthz},
-		{"GET /metrics", rt.metricsHandler.ServeHTTP},
+		{"GET /metrics", rt.reg.Handler().ServeHTTP},
 	}
 }
 
 // Routes lists every registered "METHOD /pattern" in registration order.
-func (rt *Router) Routes() []string {
-	rs := rt.routes()
-	out := make([]string, len(rs))
-	for i, r := range rs {
-		out[i] = r.pattern
-	}
-	return out
-}
+func (rt *Router) Routes() []string { return patterns(rt.routes()) }
 
 // Handler returns the router's HTTP handler.
 func (rt *Router) Handler() http.Handler {
@@ -320,57 +282,32 @@ func jobShard(id string) (int, bool) {
 	return n, true
 }
 
-// forwardJob routes a job-scoped request: a prefixed id names its shard
-// outright; an unprefixed one (single-shard deployments) goes to the only
-// backend, or is located by asking each shard.
+// forwardJob routes a job-scoped request: shard processes mint ids with
+// their ring position as prefix ("s<i>-j<seq>"), so the id names its shard
+// outright; any other id is no job of this ring.
 func (rt *Router) forwardJob(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	if i, ok := jobShard(id); ok {
-		bs, ok := rt.backendAt(i)
-		if bs == nil {
-			fail(w, http.StatusNotFound, "no job %q", id)
-			return
-		}
-		if !ok {
-			failUnavailable(w, i)
-			return
-		}
-		rt.serve(bs, w, r)
-		return
-	}
-	rt.mu.RLock()
-	single := len(rt.backends) == 1
-	rt.mu.RUnlock()
-	if single {
-		bs, ok := rt.backendAt(0)
-		if !ok {
-			failUnavailable(w, 0)
-			return
-		}
-		rt.serve(bs, w, r)
-		return
-	}
-	// Unprefixed id on a multi-shard ring: probe each shard's job table.
-	// Ids are unique across pools, so the first hit is the only one.
-	var target *backendState
-	for _, bs := range rt.held() {
-		if target == nil && bs.b.Fetch(r.Context(), "/jobs/"+id, nil) == nil {
-			target = bs // keep its hold; serve releases it
-			continue
-		}
-		bs.inflight.Done()
-	}
-	if target == nil {
+	i, ok := jobShard(id)
+	if !ok {
 		fail(w, http.StatusNotFound, "no job %q", id)
 		return
 	}
-	rt.serve(target, w, r)
+	bs, ok := rt.backendAt(i)
+	if bs == nil {
+		fail(w, http.StatusNotFound, "no job %q", id)
+		return
+	}
+	if !ok {
+		failUnavailable(w, i)
+		return
+	}
+	rt.serve(bs, w, r)
 }
 
 // aggregate fans a GET out to every healthy backend and merges the JSON
 // array elements verbatim — the elements are the shards' own bytes, so the
-// merged listing is byte-compatible with the single-process server's. less
-// orders two raw elements by the caller's sort key.
+// merged listing is byte-compatible with a single shard's. less orders two
+// raw elements by the caller's sort key.
 func (rt *Router) aggregate(w http.ResponseWriter, r *http.Request, path string,
 	less func(a, b json.RawMessage) bool) {
 	merged := []json.RawMessage{}
@@ -446,15 +383,12 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	rt.mu.RUnlock()
 	writeJSON(w, http.StatusOK, healthBody{
-		Status: "ok", Role: rt.role, Shards: n, Healthy: healthy})
+		Status: "ok", Role: "router", Shards: n, Healthy: healthy})
 }
 
 // noteFailure counts one failed probe or transport failure; crossing the
 // consecutive-failure threshold ejects the shard.
 func (rt *Router) noteFailure(bs *backendState) {
-	if !rt.remote {
-		return
-	}
 	bs.mu.Lock()
 	bs.fails++
 	eject := bs.healthy && bs.fails >= rt.probeFailures
@@ -533,9 +467,6 @@ func (rt *Router) probeAll() {
 // completes — before they close. New requests route on the new ring the
 // moment the swap commits; the drain barrier orders only the departure.
 func (rt *Router) SetShardAddrs(addrs []string) error {
-	if !rt.remote {
-		return fmt.Errorf("router: ring changes require remote backends")
-	}
 	if len(addrs) == 0 {
 		return fmt.Errorf("router: need at least one shard address")
 	}
@@ -576,13 +507,11 @@ func (rt *Router) SetShardAddrs(addrs []string) error {
 }
 
 // Close stops probing and releases the backends after their in-flight
-// requests drain. The in-process server's router has nothing to stop.
+// requests drain.
 func (rt *Router) Close() error {
 	rt.closeOnce.Do(func() {
-		if rt.probeStop != nil {
-			close(rt.probeStop)
-			<-rt.probeDone
-		}
+		close(rt.probeStop)
+		<-rt.probeDone
 		rt.mu.RLock()
 		states := append([]*backendState(nil), rt.backends...)
 		rt.mu.RUnlock()

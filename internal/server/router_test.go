@@ -35,8 +35,7 @@ func newShardProc(t *testing.T, i int, mid func(http.Handler) http.Handler,
 }
 
 // newClusterFront builds n shard processes and a router over them, and
-// returns the router's base URL — the multi-process twin of
-// newShardedServer(WithShards(n)).
+// returns the router's base URL — the multi-process twin of newServer.
 func newClusterFront(t *testing.T, n int, ropts []server.RouterOption,
 	opts ...server.Option) (*server.Router, string) {
 	t.Helper()
@@ -77,20 +76,21 @@ func ringIDs(t *testing.T, n int) []string {
 
 // TestBackendLifecycleParity runs one full service lifecycle — upload, list,
 // mine-and-save, recycle, patterns, lattice, async job, cancel-path poll,
-// delete — against the same API served two ways: in-process shards (local
-// backends) and shard processes behind a router (remote backends). The
-// ISSUE's acceptance gate: the deployment shape must be invisible to
-// clients.
+// delete — against the same API served two ways: a single-process server
+// ("local") and two shard processes behind a router ("remote"). The
+// deployment shape must be invisible to clients beyond the ring size: ring
+// positions in lattice and /shards responses, and job-id prefixes.
 func TestBackendLifecycleParity(t *testing.T) {
 	fronts := []struct {
-		name string
-		make func(t *testing.T) string
+		name   string
+		shards int
+		make   func(t *testing.T) string
 	}{
-		{"local", func(t *testing.T) string {
-			_, ts := newShardedServer(t, server.WithShards(2))
+		{"local", 1, func(t *testing.T) string {
+			_, ts := newServer(t)
 			return ts.URL
 		}},
-		{"remote", func(t *testing.T) string {
+		{"remote", 2, func(t *testing.T) string {
 			_, url := newClusterFront(t, 2, nil)
 			return url
 		}},
@@ -98,9 +98,16 @@ func TestBackendLifecycleParity(t *testing.T) {
 	for _, f := range fronts {
 		t.Run(f.name, func(t *testing.T) {
 			base := f.make(t)
+			// One database per position of a 2-ring; on the single-process
+			// server both land on its only shard.
 			ids := ringIDs(t, 2)
+			owner := shard.New(f.shards).Owner
+			jobPrefix := "j"
+			if f.shards > 1 {
+				jobPrefix = fmt.Sprintf("s%d-j", owner(ids[1]))
+			}
 
-			// Upload one database per shard.
+			// Upload both databases.
 			for _, id := range ids {
 				resp, body := do(t, "PUT", base+"/db/"+id, basket(t))
 				if resp.StatusCode != http.StatusCreated {
@@ -120,7 +127,7 @@ func TestBackendLifecycleParity(t *testing.T) {
 				t.Fatalf("GET /db not sorted: %s", body)
 			}
 
-			// Mine and save on shard 0's database; recycle from the save.
+			// Mine and save on the first database; recycle from the save.
 			resp, body = do(t, "POST", base+"/db/"+ids[0]+"/mine",
 				`{"min_count":2,"save_as":"base"}`)
 			if resp.StatusCode != http.StatusOK {
@@ -151,13 +158,14 @@ func TestBackendLifecycleParity(t *testing.T) {
 			if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &lat) != nil {
 				t.Fatalf("lattice: %d %s", resp.StatusCode, body)
 			}
-			if lat.Shard != 0 || len(lat.Rungs) == 0 {
-				t.Fatalf("lattice shard=%d rungs=%d, want shard 0 with rungs (%s)",
-					lat.Shard, len(lat.Rungs), body)
+			if lat.Shard != owner(ids[0]) || len(lat.Rungs) == 0 {
+				t.Fatalf("lattice shard=%d rungs=%d, want shard %d with rungs (%s)",
+					lat.Shard, len(lat.Rungs), owner(ids[0]), body)
 			}
 
-			// Async mine on shard 1's database: the job id carries the shard
-			// prefix and polls through the front until done.
+			// Async mine on the second database: the job id carries the
+			// owning shard's prefix (none on a single-process server) and
+			// polls through the front until done.
 			resp, body = do(t, "POST", base+"/db/"+ids[1]+"/mine?async=1", `{"min_count":2}`)
 			var job struct {
 				ID     string `json:"id"`
@@ -166,8 +174,8 @@ func TestBackendLifecycleParity(t *testing.T) {
 			if resp.StatusCode != http.StatusAccepted || json.Unmarshal(body, &job) != nil {
 				t.Fatalf("async mine: %d %s", resp.StatusCode, body)
 			}
-			if !strings.HasPrefix(job.ID, "s1-") {
-				t.Fatalf("job id %q does not carry shard 1's prefix", job.ID)
+			if !strings.HasPrefix(job.ID, jobPrefix) {
+				t.Fatalf("job id %q does not start with %q", job.ID, jobPrefix)
 			}
 			waitUntil(t, 5*time.Second, "job done", func() bool {
 				_, body := do(t, "GET", base+"/jobs/"+job.ID, "")
@@ -179,7 +187,8 @@ func TestBackendLifecycleParity(t *testing.T) {
 				t.Fatalf("GET /jobs: %d %s", resp.StatusCode, body)
 			}
 
-			// /shards reports both ring positions, healthy.
+			// /shards reports every ring position, healthy, and accounts
+			// each database once.
 			resp, body = do(t, "GET", base+"/shards", "")
 			var shards []struct {
 				Shard     int  `json:"shard"`
@@ -189,10 +198,18 @@ func TestBackendLifecycleParity(t *testing.T) {
 			if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &shards) != nil {
 				t.Fatalf("GET /shards: %d %s", resp.StatusCode, body)
 			}
-			if len(shards) != 2 || shards[0].Shard != 0 || shards[1].Shard != 1 ||
-				shards[0].DBs != 1 || shards[1].DBs != 1 ||
-				shards[0].Unhealthy || shards[1].Unhealthy {
-				t.Fatalf("GET /shards: %s", body)
+			if len(shards) != f.shards {
+				t.Fatalf("GET /shards: %s, want %d rows", body, f.shards)
+			}
+			dbs := 0
+			for i, si := range shards {
+				if si.Shard != i || si.Unhealthy {
+					t.Fatalf("GET /shards: %s", body)
+				}
+				dbs += si.DBs
+			}
+			if dbs != len(ids) {
+				t.Fatalf("GET /shards accounts %d databases, want %d: %s", dbs, len(ids), body)
 			}
 
 			// Delete both; the listing returns to empty-array (never null).
@@ -214,7 +231,8 @@ func TestBackendLifecycleParity(t *testing.T) {
 // TestRemoteQuota429ByteForByte is the ISSUE's forwarding-contract
 // regression test: a tenant-quota rejection produced by a shard process and
 // forwarded by the router must be indistinguishable — status, Content-Type,
-// Retry-After, body bytes — from the same rejection produced in-process.
+// Retry-After, body bytes — from the same rejection produced by a
+// single-process server.
 func TestRemoteQuota429ByteForByte(t *testing.T) {
 	quotas := server.WithQuotas(shard.Quotas{MaxDBs: 1})
 
@@ -226,7 +244,7 @@ func TestRemoteQuota429ByteForByte(t *testing.T) {
 		return doAs(t, "acme", "PUT", base+"/db/second", basket(t))
 	}
 
-	_, local := newShardedServer(t, quotas)
+	_, local := newServer(t, quotas)
 	lresp, lbody := reject(t, local.URL)
 
 	_, remote := newClusterFront(t, 1, nil, quotas)
@@ -406,8 +424,8 @@ func TestRingChangeDrainsInFlight(t *testing.T) {
 	}
 }
 
-// TestHealthzSurface pins the /healthz role fields on all three deployment
-// shapes: in-process server, shard process, router.
+// TestHealthzSurface pins the /healthz role fields on all three process
+// roles: single-process server, shard process, router.
 func TestHealthzSurface(t *testing.T) {
 	var h struct {
 		Status  string `json:"status"`
@@ -417,10 +435,10 @@ func TestHealthzSurface(t *testing.T) {
 		Healthy int    `json:"healthy"`
 	}
 
-	_, local := newShardedServer(t)
-	if _, body := do(t, "GET", local.URL+"/healthz", ""); json.Unmarshal(body, &h) != nil ||
-		h.Status != "ok" || h.Role != "server" {
-		t.Fatalf("server /healthz: %+v", h)
+	_, local := newServer(t)
+	const serverBody = `{"status":"ok","role":"server","shards":1,"healthy":1}`
+	if _, body := do(t, "GET", local.URL+"/healthz", ""); strings.TrimSpace(string(body)) != serverBody {
+		t.Fatalf("server /healthz = %s, want %s", body, serverBody)
 	}
 
 	sh := newShardProc(t, 3, nil)

@@ -27,17 +27,14 @@
 //     recycled source mix, compression ratios, queue depth and in-flight
 //     requests.
 //
-// The service is horizontally sharded in-process (WithShards): a
-// consistent-hashing router (internal/shard.Ring, keyed on database id)
-// fronts N engine shards, each exclusively owning its own database map and
-// lock, async job pool, lattice store slice, and per-shard metrics — there
-// is no global entry lock, so traffic on one shard never contends with
-// another's. The router reaches its shards only through the shard.Backend
-// seam: in this process as direct handler calls (localBackend), or across
-// processes as forwarded HTTP (shard.Remote) — see Router, NewRouter and
-// WithShardIndex for the multi-process deployment, where the same binary
-// runs as router or as a single shard and the deployment shape is
-// configuration, not code.
+// One process runs one engine shard: its database map and lock, async job
+// pool, lattice store and metrics. The service scales out across processes:
+// with WithShardIndex a server is one position of an external
+// consistent-hashing ring (internal/shard.Ring, keyed on database id), and a
+// Router (NewRouter) fronts the shard processes over HTTP (shard.Remote),
+// forwarding each request to its owner and aggregating the listings. The
+// same binary runs as either, so the deployment shape is configuration, not
+// code.
 //
 // Multi-tenant admission control (WithQuotas) bounds what one tenant — the
 // X-Tenant request header, "default" when absent — may hold: resident
@@ -51,13 +48,12 @@
 // (internal/lattice, on by default, see WithLattice): every mined result is
 // installed as a rung of the database's threshold ladder, and later requests
 // at any threshold are answered by pure-filtering the nearest rung below or
-// relax-mining from the nearest rung above. Each shard owns a private store
-// covering its databases — one slice of the configured byte budget — so
-// install-time LRU eviction scans only that shard's rungs. The lattice is
-// inspectable and invalidatable over HTTP.
+// relax-mining from the nearest rung above. The store holds every ladder
+// under one byte budget and evicts the least recently used rung in constant
+// time. The lattice is inspectable and invalidatable over HTTP.
 //
 //	PUT    /db/{id}                 upload basket data (numeric ids)
-//	GET    /db                      list databases (all shards)
+//	GET    /db                      list databases
 //	GET    /db/{id}                 database stats
 //	DELETE /db/{id}                 drop a database
 //	POST   /db/{id}/mine            run one mining round (see MineRequest);
@@ -66,10 +62,10 @@
 //	GET    /db/{id}/patterns/{name} fetch one saved set
 //	GET    /db/{id}/lattice         cached threshold ladder (rungs, hits)
 //	DELETE /db/{id}/lattice         invalidate the cached ladder
-//	GET    /jobs                    list async jobs (all shards)
+//	GET    /jobs                    list async jobs
 //	GET    /jobs/{id}               poll one job
 //	DELETE /jobs/{id}               cancel one job
-//	GET    /shards                  per-shard occupancy and queue stats
+//	GET    /shards                  shard occupancy and queue stats
 //	GET    /healthz                 liveness (role, ring health census)
 //	GET    /metrics                 metrics snapshot (JSON)
 package server
@@ -79,7 +75,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strconv"
@@ -105,8 +103,8 @@ const TenantHeader = "X-Tenant"
 // DefaultTenant is the tenant id of requests that carry no TenantHeader.
 const DefaultTenant = "default"
 
-// Server is the service state: the shard router, the per-tenant admission
-// governor, and N engine shards. Safe for concurrent use.
+// Server is the service state: the per-tenant admission governor and the
+// process's engine shard. Safe for concurrent use.
 type Server struct {
 	maxBody int64
 
@@ -117,31 +115,21 @@ type Server struct {
 	compressWorkers int
 	mineWorkers     int
 
-	// cache configures the threshold lattice (enabled by default). Each
-	// shard carves its own store out of the configured byte budget.
+	// cache configures the threshold lattice (enabled by default).
 	cache engine.CacheConfig
 
-	// nshards is the engine shard count; ring routes database ids onto
-	// [0, nshards) by consistent hashing, so the same id always lands on the
-	// same shard across restarts.
-	nshards int
-	ring    *shard.Ring
-	shards  []*engineShard
+	shard *engineShard
 
 	// shardIndex (-1 unless WithShardIndex) marks this process as one shard
 	// of an external ring: ids it mints carry that ring position.
 	shardIndex int
-
-	// router fronts the shards through the Backend seam; Handler and Routes
-	// delegate to it.
-	router *Router
 
 	// quotas/gov is the per-tenant admission controller; zero quotas admit
 	// everything.
 	quotas shard.Quotas
 	gov    *shard.Governor
 
-	// dataDir, when set, makes the server durable: each shard opens a
+	// dataDir, when set, makes the server durable: the shard opens a
 	// segment store under dataDir/shard-<i>, every acknowledged mutation is
 	// written through before the response, boot replays what disk holds,
 	// and cold databases spill to stubs that rehydrate on first touch.
@@ -162,11 +150,9 @@ type Server struct {
 	mineHook func()
 }
 
-// engineShard is one in-process engine shard. A shard exclusively owns its
-// database map and lock, its async job pool, and its lattice store slice —
-// no structure here is reachable from another shard, which is the invariant
-// that makes cross-shard lock contention impossible: a request touches
-// exactly the one shard its database id hashes to.
+// engineShard is the process's engine: its database map and lock, its async
+// job pool, and its lattice store. It serves the whole route table (see
+// shardnode.go) and never consults a ring.
 type engineShard struct {
 	id  int
 	srv *Server
@@ -233,8 +219,7 @@ func WithMaxBodyBytes(n int64) Option { return func(s *Server) { s.maxBody = n }
 // limit). Expired runs abort cooperatively and report 503 / a failed job.
 func WithMineTimeout(d time.Duration) Option { return func(s *Server) { s.mineTimeout = d } }
 
-// WithWorkers sets the async worker pool size (default: NumCPU), divided
-// across the shards' job pools (each shard gets at least one worker).
+// WithWorkers sets the async worker pool size (default: NumCPU).
 // Non-positive values keep the default.
 func WithWorkers(n int) Option {
 	return func(s *Server) {
@@ -244,8 +229,7 @@ func WithWorkers(n int) Option {
 	}
 }
 
-// WithQueueDepth bounds the async job queue (default 64), divided across the
-// shards' pools (each shard gets at least one slot). A full shard queue
+// WithQueueDepth bounds the async job queue (default 64). A full queue
 // rejects new jobs with 429 — the service's load-shedding point.
 // Non-positive values keep the default.
 func WithQueueDepth(n int) Option {
@@ -256,27 +240,12 @@ func WithQueueDepth(n int) Option {
 	}
 }
 
-// WithShards sets the engine shard count (default 1). Database ids are
-// routed by consistent hashing, so an id's shard is stable across restarts
-// at a fixed count; changing the count re-homes ≈ 1/N of ids (see
-// internal/shard.Ring). Shards hold only derived state — caches, queues,
-// metrics — so re-homing costs warm-up, not correctness. Non-positive
-// values keep the default.
-func WithShards(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.nshards = n
-		}
-	}
-}
-
 // WithShardIndex declares this server to be shard i of an external ring
 // (`rpserved -role shard -shard-index i`): job ids carry the "s<i>-"
-// prefix, /shards and lattice responses report shard i, and the durable
-// state lives under dataDir/shard-<i> — exactly what the in-process shard i
-// of an N-shard server would mint, which is what lets a router aggregate
-// shard processes indistinguishably from in-process shards. Requires a
-// single engine shard (incompatible with WithShards > 1).
+// prefix, /shards and lattice responses report shard i, /healthz answers
+// with role "shard", and the durable state lives under dataDir/shard-<i>.
+// Without it the server is ring position 0 of a ring of one: unprefixed job
+// ids ("j<seq>") and state under dataDir/shard-0.
 func WithShardIndex(i int) Option {
 	return func(s *Server) {
 		if i >= 0 {
@@ -324,18 +293,18 @@ func WithLatticeRungs(rungs []float64) Option {
 	return func(s *Server) { engine.WithLatticeRungs(rungs)(&s.cache) }
 }
 
-// WithCacheBudget caps the lattice stores' total resident bytes across all
-// databases (default 64 MiB), metered with memlimit's cost model and divided
-// evenly across the shards' private stores.
+// WithCacheBudget caps the lattice store's resident bytes across all
+// databases (default 64 MiB), metered with memlimit's cost model.
 func WithCacheBudget(bytes int64) Option {
 	return func(s *Server) { engine.WithCacheBudget(bytes)(&s.cache) }
 }
 
-// WithDataDir makes the server durable: each shard persists its databases,
+// WithDataDir makes the server durable: the shard persists its databases,
 // saved pattern sets and installed lattice rungs to an append-only segment
 // store under dir/shard-<i> (fsync'd before a mutation is acknowledged), and
 // Open replays that state on boot — uploads, saves and mined rungs survive
-// restarts and crashes. Empty (the default) keeps the service in-memory.
+// restarts and crashes. Open refuses a dir holding another ring position's
+// store. Empty (the default) keeps the service in-memory.
 func WithDataDir(dir string) Option { return func(s *Server) { s.dataDir = dir } }
 
 // WithSnapshotInterval sets the cadence of the background segment
@@ -371,7 +340,7 @@ func New(opts ...Option) *Server {
 	return s
 }
 
-// Open builds the server and, when WithDataDir is configured, recovers every
+// Open builds the server and, when WithDataDir is configured, recovers the
 // shard's durable state: databases come back as cold stubs (stats, saved-set
 // metadata and tenant quota accounting restored immediately; content
 // rehydrates from disk on first touch), and the snapshot and cold-spill
@@ -381,7 +350,6 @@ func Open(opts ...Option) (*Server, error) {
 		maxBody:          64 << 20,
 		workers:          runtime.NumCPU(),
 		queueCap:         64,
-		nshards:          1,
 		shardIndex:       -1,
 		compressWorkers:  runtime.GOMAXPROCS(0),
 		cache:            engine.CacheConfig{Enabled: true},
@@ -390,222 +358,134 @@ func Open(opts ...Option) (*Server, error) {
 	for _, o := range opts {
 		o(s)
 	}
-	if s.shardIndex >= 0 && s.nshards > 1 {
-		return nil, fmt.Errorf("WithShardIndex: a shard process runs one engine shard (got %d)", s.nshards)
-	}
 	if s.reg == nil {
 		s.reg = metrics.NewRegistry()
 	}
-	s.ring = shard.New(s.nshards)
 	s.gov = shard.NewGovernor(s.quotas)
 	s.met = newServerMetrics(s.reg)
 	s.met.compressWorkers.Set(int64(s.compressWorkers))
 	s.met.mineWorkers.Set(int64(effectiveMineWorkers(s.mineWorkers)))
-	s.met.shardCount.Set(int64(s.nshards))
+	s.met.shardCount.Set(1)
 
-	// The worker-pool and cache-budget envelopes are server-wide: each shard
-	// gets an even slice (with a floor of one worker/slot), so raising the
-	// shard count re-partitions resources instead of multiplying them.
-	perWorkers := ceilDiv(s.workers, s.nshards)
-	perQueue := ceilDiv(s.queueCap, s.nshards)
-	var perBudget int64
-	if s.cache.Enabled {
-		perBudget = s.cache.ResolveBudget() / int64(s.nshards)
-		if perBudget < 1 {
-			perBudget = 1
-		}
+	// A shard process (WithShardIndex) mints ids for its ring position; the
+	// single-process server is position 0 with unprefixed ids.
+	id, prefix := 0, ""
+	if s.shardIndex >= 0 {
+		id, prefix = s.shardIndex, fmt.Sprintf("s%d-", s.shardIndex)
 	}
-	s.shards = make([]*engineShard, s.nshards)
-	for i := range s.shards {
-		// A shard process (WithShardIndex) mints ids for its external ring
-		// position; in-process shards for their local index. Ids are
-		// unprefixed only in the classic single-process, single-shard shape.
-		id := i
-		if s.shardIndex >= 0 {
-			id = s.shardIndex
-		}
-		prefix := ""
-		if s.nshards > 1 || s.shardIndex >= 0 {
-			prefix = fmt.Sprintf("s%d-", id)
-		}
-		sh := &engineShard{
-			id:   id,
-			srv:  s,
-			dbs:  map[string]*entry{},
-			jobs: jobs.NewPrefixed(prefix, perWorkers, perQueue),
-		}
-		if s.cache.Enabled {
-			sh.store = lattice.NewStore(perBudget)
-		}
-		sh.pipe = engine.Pipeline{
+	sh := &engineShard{
+		id:    id,
+		srv:   s,
+		dbs:   map[string]*entry{},
+		jobs:  jobs.NewPrefixed(prefix, s.workers, s.queueCap),
+		store: s.cache.NewStore(),
+		pipe: engine.Pipeline{
 			CompressWorkers: s.compressWorkers,
 			MineWorkers:     s.mineWorkers,
 			Observer:        s.met,
 			CacheRungs:      s.cache.Rungs,
-		}
-		s.shards[i] = sh
-		i := i
-		s.reg.GaugeFunc(fmt.Sprintf("shard.%d.dbs", id), func() int64 {
-			return int64(s.shards[i].dbCount())
-		})
-		s.reg.GaugeFunc(fmt.Sprintf("shard.%d.queue_depth", id), func() int64 {
-			return int64(s.shards[i].jobs.Depth())
-		})
+		},
 	}
-
-	// The classic aggregate gauges sum over the shards, so dashboards built
-	// against the single-shard service keep reading true totals.
-	s.reg.GaugeFunc("jobs.queue_depth", func() int64 {
-		var n int64
-		for _, sh := range s.shards {
-			n += int64(sh.jobs.Depth())
-		}
-		return n
-	})
-	s.reg.GaugeFunc("jobs.running", func() int64 {
-		var n int64
-		for _, sh := range s.shards {
-			n += int64(sh.jobs.Running())
-		}
-		return n
-	})
-	if s.cache.Enabled {
-		s.reg.GaugeFunc("lattice_rungs", func() int64 {
-			var n int64
-			for _, sh := range s.shards {
-				n += int64(sh.store.Rungs())
-			}
-			return n
-		})
-		s.reg.GaugeFunc("lattice_bytes", func() int64 {
-			var n int64
-			for _, sh := range s.shards {
-				n += sh.store.Bytes()
-			}
-			return n
-		})
+	s.shard = sh
+	s.reg.GaugeFunc(fmt.Sprintf("shard.%d.dbs", id), func() int64 { return int64(sh.dbCount()) })
+	s.reg.GaugeFunc(fmt.Sprintf("shard.%d.queue_depth", id), func() int64 { return int64(sh.jobs.Depth()) })
+	s.reg.GaugeFunc("jobs.queue_depth", func() int64 { return int64(sh.jobs.Depth()) })
+	s.reg.GaugeFunc("jobs.running", func() int64 { return int64(sh.jobs.Running()) })
+	if sh.store != nil {
+		s.reg.GaugeFunc("lattice_rungs", func() int64 { return int64(sh.store.Rungs()) })
+		s.reg.GaugeFunc("lattice_bytes", sh.store.Bytes)
 	}
 
 	if s.dataDir != "" {
-		for _, sh := range s.shards {
-			disk, err := store.Open(filepath.Join(s.dataDir, fmt.Sprintf("shard-%d", sh.id)), store.Options{})
-			if err != nil {
-				s.closeStores()
-				return nil, err
-			}
-			sh.disk = disk
-		}
-		if err := s.recoverFromDisk(); err != nil {
-			s.closeStores()
+		if err := checkOwnedDataDir(s.dataDir, id); err != nil {
 			return nil, err
 		}
-		for _, sh := range s.shards {
-			sh.disk.StartSnapshots(s.snapshotInterval)
+		disk, err := store.Open(filepath.Join(s.dataDir, shardDir(id)), store.Options{})
+		if err != nil {
+			return nil, err
 		}
-		s.reg.GaugeFunc("store_segments", func() int64 {
-			var n int64
-			for _, sh := range s.shards {
-				n += int64(sh.disk.Stats().Segments)
-			}
-			return n
-		})
-		s.reg.GaugeFunc("store_bytes", func() int64 {
-			var n int64
-			for _, sh := range s.shards {
-				n += sh.disk.Stats().DiskBytes
-			}
-			return n
-		})
+		sh.disk = disk
+		sh.recoverFromDisk()
+		disk.StartSnapshots(s.snapshotInterval)
+		s.reg.GaugeFunc("store_segments", func() int64 { return int64(disk.Stats().Segments) })
+		s.reg.GaugeFunc("store_bytes", func() int64 { return disk.Stats().DiskBytes })
 		if s.coldAfter > 0 {
 			s.startSweeper()
 		}
 	}
-	s.router = newLocalRouter(s)
 	return s, nil
 }
 
-// recoverFromDisk rebuilds the in-memory shard maps from the segment
-// stores: every stored database becomes a cold stub (stats, saved-set
-// metadata and tenant accounting live; content loads lazily on first
-// touch). A database whose ring owner changed — the shard count differs
-// from the previous run — is migrated to its owning shard's store first, so
-// routing and storage always agree.
-func (s *Server) recoverFromDisk() error {
-	for _, src := range s.shards {
-		for _, m := range src.disk.List() {
-			if own := s.shardFor(m.ID); own != src {
-				if err := migrateDB(src.disk, own.disk, m); err != nil {
-					return fmt.Errorf("re-homing %q: %w", m.ID, err)
-				}
-			}
+// shardDir names ring position i's store directory under the data dir.
+func shardDir(i int) string { return fmt.Sprintf("shard-%d", i) }
+
+// checkOwnedDataDir refuses a data dir holding the store of any ring
+// position other than own. Such a store belongs to a shard process of a
+// multi-process cluster; this process would never route to it, so its
+// databases would silently answer 404.
+func checkOwnedDataDir(dir string, own int) error {
+	ents, err := os.ReadDir(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	var foreign []string
+	for _, ent := range ents {
+		var i int
+		if !ent.IsDir() {
+			continue
+		}
+		if _, err := fmt.Sscanf(ent.Name(), "shard-%d", &i); err != nil ||
+			ent.Name() != shardDir(i) || i == own {
+			continue
+		}
+		files, err := os.ReadDir(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			return err
+		}
+		if len(files) > 0 {
+			foreign = append(foreign, fmt.Sprintf(
+				"%s (serve it with `rpserved -role shard -shard-index %d -data-dir %s` behind a router)",
+				ent.Name(), i, dir))
 		}
 	}
-	now := time.Now()
-	for _, sh := range s.shards {
-		for _, m := range sh.disk.List() {
-			e := &entry{
-				id:    m.ID,
-				owner: m.Tenant,
-				stats: dataset.Stats{NumTx: m.NumTx, NumItems: m.NumItems, AvgLen: m.AvgLen},
-				sets:  map[string]*savedSet{},
-				// A freshly recovered stub starts the cold clock now; it
-				// only hydrates when something touches it.
-				lastTouch: now,
-			}
-			var bytes int64
-			for _, sm := range m.Sets {
-				b := memlimit.EstimatePatternBytesFromCounts(sm.Patterns, sm.Items)
-				e.sets[sm.Name] = &savedSet{count: sm.Patterns, minCount: sm.MinCount,
-					bytes: b, saved: sm.Saved}
-				bytes += b
-			}
-			sh.dbs[m.ID] = e
-			s.gov.Restore(m.Tenant, 1, bytes)
-		}
+	if len(foreign) > 0 {
+		return fmt.Errorf("data dir %s holds stores this process (ring position %d) does not own: %s",
+			dir, own, strings.Join(foreign, "; "))
 	}
 	return nil
 }
 
-// migrateDB moves one database's durable state between shard stores when a
-// shard-count change re-homed its id.
-func migrateDB(src, dst *store.Store, m store.DBMeta) error {
-	db, err := src.LoadDB(m.ID)
-	if err != nil {
-		return err
-	}
-	if err := dst.PutDB(m.ID, m.Tenant, db); err != nil {
-		return err
-	}
-	sets, err := src.LoadSets(m.ID)
-	if err != nil {
-		return err
-	}
-	for _, set := range sets {
-		if err := dst.PutSet(m.ID, set.Name, set.MinCount, set.Saved, set.Patterns); err != nil {
-			return err
+// recoverFromDisk rebuilds the shard's database map from its segment store:
+// every stored database becomes a cold stub (stats, saved-set metadata and
+// tenant accounting live; content loads lazily on first touch).
+func (sh *engineShard) recoverFromDisk() {
+	now := time.Now()
+	for _, m := range sh.disk.List() {
+		e := &entry{
+			id:    m.ID,
+			owner: m.Tenant,
+			stats: dataset.Stats{NumTx: m.NumTx, NumItems: m.NumItems, AvgLen: m.AvgLen},
+			sets:  map[string]*savedSet{},
+			// A freshly recovered stub starts the cold clock now; it
+			// only hydrates when something touches it.
+			lastTouch: now,
 		}
-	}
-	rungs, err := src.LoadRungs(m.ID)
-	if err != nil {
-		return err
-	}
-	for _, r := range rungs {
-		if err := dst.PutRung(m.ID, r.MinCount, r.Patterns); err != nil {
-			return err
+		var bytes int64
+		for _, sm := range m.Sets {
+			b := memlimit.EstimatePatternBytesFromCounts(sm.Patterns, sm.Items)
+			e.sets[sm.Name] = &savedSet{count: sm.Patterns, minCount: sm.MinCount,
+				bytes: b, saved: sm.Saved}
+			bytes += b
 		}
-	}
-	return src.DeleteDB(m.ID)
-}
-
-func (s *Server) closeStores() {
-	for _, sh := range s.shards {
-		if sh.disk != nil {
-			sh.disk.Close()
-		}
+		sh.dbs[m.ID] = e
+		sh.srv.gov.Restore(m.Tenant, 1, bytes)
 	}
 }
 
-// Close stops the persistence tickers and closes the shard stores. Durable
+// Close stops the persistence tickers and closes the shard's store. Durable
 // servers should be Closed after Shutdown; for in-memory servers it is a
 // no-op.
 func (s *Server) Close() error {
@@ -614,7 +494,9 @@ func (s *Server) Close() error {
 			close(s.sweepStop)
 			<-s.sweepDone
 		}
-		s.closeStores()
+		if s.shard.disk != nil {
+			s.shard.disk.Close()
+		}
 	})
 	return nil
 }
@@ -645,16 +527,15 @@ func (s *Server) startSweeper() {
 
 func (s *Server) sweepCold() {
 	cutoff := time.Now().Add(-s.coldAfter)
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		entries := make([]*entry, 0, len(sh.dbs))
-		for _, e := range sh.dbs {
-			entries = append(entries, e)
-		}
-		sh.mu.RUnlock()
-		for _, e := range entries {
-			sh.spillIfCold(e, cutoff)
-		}
+	sh := s.shard
+	sh.mu.RLock()
+	entries := make([]*entry, 0, len(sh.dbs))
+	for _, e := range sh.dbs {
+		entries = append(entries, e)
+	}
+	sh.mu.RUnlock()
+	for _, e := range entries {
+		sh.spillIfCold(e, cutoff)
 	}
 }
 
@@ -738,15 +619,6 @@ func (sh *engineShard) hydrateLocked(e *entry) error {
 	return nil
 }
 
-// ceilDiv is ⌈a/b⌉ with a floor of 1.
-func ceilDiv(a, b int) int {
-	n := (a + b - 1) / b
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // effectiveMineWorkers reports the goroutine count the mining phase will
 // use: serial mining is one worker, n < 0 resolves to GOMAXPROCS.
 func effectiveMineWorkers(n int) int {
@@ -762,25 +634,9 @@ func effectiveMineWorkers(n int) int {
 // Registry returns the server's metrics registry.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
-// ShardFor returns the shard index owning the database id — exposed so
-// operators and tests can verify placement.
-func (s *Server) ShardFor(id string) int { return s.ring.Owner(id) }
-
-// Shutdown drains every shard's async job queue (bounded by ctx) and
-// releases the worker pools. The HTTP listener is the caller's to stop.
-func (s *Server) Shutdown(ctx context.Context) error {
-	errs := make([]error, len(s.shards))
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func(i int, sh *engineShard) {
-			defer wg.Done()
-			errs[i] = sh.jobs.Shutdown(ctx)
-		}(i, sh)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
+// Shutdown drains the async job queue (bounded by ctx) and releases the
+// worker pool. The HTTP listener is the caller's to stop.
+func (s *Server) Shutdown(ctx context.Context) error { return s.shard.jobs.Shutdown(ctx) }
 
 // route is one registered endpoint. The table drives both Handler and
 // Routes, so the documented surface cannot drift from the served one.
@@ -792,18 +648,11 @@ type route struct {
 // Routes lists every registered "METHOD /pattern" in registration order.
 // README's endpoint table must match it verbatim — a drift test enforces
 // this, like the algorithm table's.
-func (s *Server) Routes() []string { return s.router.Routes() }
+func (s *Server) Routes() []string { return patterns(s.shard.routes()) }
 
-// Handler returns the HTTP handler: the router over this server's engine
-// shards — or, for a shard process (WithShardIndex), the shard's own
-// surface directly, with no routing layer to traverse: placement already
-// happened in the router process that forwarded here.
-func (s *Server) Handler() http.Handler {
-	if s.shardIndex >= 0 {
-		return s.shards[0].handler()
-	}
-	return s.router.Handler()
-}
+// Handler returns the HTTP handler: the engine shard's route table, for a
+// single-process server and a shard process alike.
+func (s *Server) Handler() http.Handler { return s.shard.handler() }
 
 // serverMetrics bundles the service's named metrics.
 type serverMetrics struct {
@@ -826,7 +675,7 @@ type serverMetrics struct {
 	rejected    *metrics.Counter
 	killed      *metrics.Counter
 
-	// shardCount reports the engine shard count; tenantRejected counts
+	// shardCount reports the engine shard count (1); tenantRejected counts
 	// admission-control 429s (per-resource splits ride under
 	// tenant_rejected.<resource>).
 	shardCount     *metrics.Gauge
@@ -1029,9 +878,6 @@ func tenantOf(r *http.Request) (string, error) {
 	return t, nil
 }
 
-// shardFor returns the engine shard owning the database id.
-func (s *Server) shardFor(id string) *engineShard { return s.shards[s.ring.Owner(id)] }
-
 func info(id string, e *entry) DBInfo {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1053,10 +899,10 @@ func setBytes(sets map[string]*savedSet) int64 {
 type LatticeInfo struct {
 	ID      string `json:"id"`
 	Enabled bool   `json:"enabled"`
-	// Shard is the engine shard owning the database (and the store below).
+	// Shard is the ring position of the shard owning the database.
 	Shard int `json:"shard"`
-	// BudgetBytes and StoreBytes describe the owning shard's store slice;
-	// Rungs lists only this database's ladder.
+	// BudgetBytes and StoreBytes describe the shard's whole store; Rungs
+	// lists only this database's ladder.
 	BudgetBytes int64              `json:"budget_bytes,omitempty"`
 	StoreBytes  int64              `json:"store_bytes,omitempty"`
 	Rungs       []lattice.RungInfo `json:"rungs"`

@@ -25,7 +25,7 @@ func TestSaveVersionCheck(t *testing.T) {
 	s := New()
 	defer s.Shutdown(context.Background())
 	e := newEntry()
-	sh := s.shards[0]
+	sh := s.shard
 	sh.dbs["d"] = e
 
 	// Replace the database between snapshot and save.
@@ -67,7 +67,7 @@ func TestSaveLastWriterWins(t *testing.T) {
 	s := New()
 	defer s.Shutdown(context.Background())
 	e := newEntry()
-	sh := s.shards[0]
+	sh := s.shard
 	sh.dbs["d"] = e
 
 	if _, err := sh.mine(context.Background(), e, MineRequest{SaveAs: "x", Use: "fresh"}, 2); err != nil {
@@ -102,7 +102,7 @@ func TestDeleteMidMineRefundsExactlyOnce(t *testing.T) {
 	}
 
 	// First, charge some bytes so the delete has a real refund to settle.
-	sh := s.shards[s.ring.Owner("d")]
+	sh := s.shard
 	e := sh.dbs["d"]
 	if _, err := sh.mine(context.Background(), e, MineRequest{SaveAs: "warm"}, 2); err != nil {
 		t.Fatal(err)
@@ -139,7 +139,7 @@ func TestDeleteMidMineRefundsExactlyOnce(t *testing.T) {
 // whatever interleavings happened, every tenant's accounted usage must return
 // to exactly zero — the -race companion to the exactly-once audit above.
 func TestQuotaZeroAfterConcurrentChurn(t *testing.T) {
-	s := New(WithShards(2))
+	s := New()
 	defer s.Shutdown(context.Background())
 	h := s.Handler()
 

@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"gogreen/internal/store"
 	"gogreen/internal/testutil"
 )
 
@@ -55,7 +57,7 @@ func doReq(t *testing.T, h http.Handler, method, path, body string, hdr map[stri
 func TestPersistCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Server {
-		s, err := Open(WithDataDir(dir), WithShards(2))
+		s, err := Open(WithDataDir(dir))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +117,7 @@ func TestPersistCrashRecovery(t *testing.T) {
 		t.Fatalf("recovered set listing: %d %s", resp.StatusCode, body)
 	}
 	// Listing is metadata-only: the database must still be a cold stub.
-	sh := s2.shardFor("paper")
+	sh := s2.shard
 	e := sh.dbs["paper"]
 	e.mu.Lock()
 	resident := e.resident
@@ -181,7 +183,7 @@ func TestColdSpillAndRehydrate(t *testing.T) {
 	_, wantPatterns := doReq(t, h, "GET", "/db/paper/patterns/round1", "", nil)
 
 	// Wait out the cold clock (the pattern fetch above was the last touch).
-	e := s.shardFor("paper").dbs["paper"]
+	e := s.shard.dbs["paper"]
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		e.mu.Lock()
@@ -259,5 +261,42 @@ func TestDeleteSurvivesRestart(t *testing.T) {
 	}
 	if got := s2.gov.Usage(DefaultTenant).DBs; got != 1 {
 		t.Fatalf("restored DBs = %d, want 1", got)
+	}
+}
+
+// TestOpenRefusesForeignShardStore proves a server never silently ignores
+// durable state it does not own: a data dir holding ring position 1's store
+// is refused by a single-process server (position 0) with an error naming
+// the directory and the shard process that should serve it, while the
+// shard process for position 1 opens it and serves its database.
+func TestOpenRefusesForeignShardStore(t *testing.T) {
+	dir := t.TempDir()
+	st, err := store.Open(filepath.Join(dir, "shard-1"), store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.PutDB("acked", DefaultTenant, testutil.PaperDB()); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	s, err := Open(WithDataDir(dir))
+	if err == nil {
+		s.Close()
+		t.Fatal("Open served a data dir holding another ring position's store")
+	}
+	for _, want := range []string{"shard-1", "-role shard -shard-index 1 -data-dir " + dir} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open error %q does not mention %q", err, want)
+		}
+	}
+
+	owner, err := Open(WithDataDir(dir), WithShardIndex(1))
+	if err != nil {
+		t.Fatalf("shard process for position 1: %v", err)
+	}
+	defer owner.Close()
+	if resp, body := doReq(t, owner.Handler(), "GET", "/db/acked", "", nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("owning shard process lost the database: %d %s", resp.StatusCode, body)
 	}
 }

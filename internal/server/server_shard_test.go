@@ -13,12 +13,14 @@ import (
 	"testing"
 	"time"
 
+	"gogreen/internal/metrics"
 	"gogreen/internal/server"
 	"gogreen/internal/shard"
 )
 
-// newShardedServer builds a server and its HTTP front with the given options.
-func newShardedServer(t *testing.T, opts ...server.Option) (*server.Server, *httptest.Server) {
+// newServer builds a single-process server and its HTTP front with the
+// given options.
+func newServer(t *testing.T, opts ...server.Option) (*server.Server, *httptest.Server) {
 	t.Helper()
 	srv := server.New(opts...)
 	t.Cleanup(func() { srv.Shutdown(context.Background()) })
@@ -45,27 +47,6 @@ func doAs(t *testing.T, tenant, method, url string, body string) (*http.Response
 		t.Fatal(err)
 	}
 	return resp, out
-}
-
-// idsOnDistinctShards returns n database ids that srv routes to n distinct
-// shards.
-func idsOnDistinctShards(t *testing.T, srv *server.Server, n int) []string {
-	t.Helper()
-	seen := map[int]string{}
-	for i := 0; len(seen) < n && i < 10000; i++ {
-		id := fmt.Sprintf("db%04d", i)
-		if sh := srv.ShardFor(id); seen[sh] == "" {
-			seen[sh] = id
-		}
-	}
-	if len(seen) < n {
-		t.Fatalf("could not find ids on %d distinct shards", n)
-	}
-	out := make([]string, 0, n)
-	for sh := 0; sh < n; sh++ {
-		out = append(out, seen[sh])
-	}
-	return out
 }
 
 // quotaBody decodes the structured 429 body of an admission rejection.
@@ -98,57 +79,50 @@ func requireQuota429(t *testing.T, resp *http.Response, body []byte, tenant, res
 	}
 }
 
-// TestShardRoutingStable proves placement is a pure function of (shard
-// count, database id): two independent servers agree, and the /db/{id}/lattice
-// endpoint reports the same owner the router computes.
+// TestShardRoutingStable proves placement is a pure function of (ring size,
+// database id): a router over four shard processes places every database
+// on the position shard.Ring computes, and the owning shard's lattice
+// endpoint reports that position.
 func TestShardRoutingStable(t *testing.T) {
-	a := server.New(server.WithShards(4))
-	defer a.Shutdown(context.Background())
-	b := server.New(server.WithShards(4))
-	defer b.Shutdown(context.Background())
+	_, base := newClusterFront(t, 4, nil)
 	ring := shard.New(4)
-	for i := 0; i < 500; i++ {
+	for i := 0; i < 12; i++ {
 		id := fmt.Sprintf("db%04d", i)
-		if a.ShardFor(id) != b.ShardFor(id) || a.ShardFor(id) != ring.Owner(id) {
-			t.Fatalf("placement of %q unstable: %d / %d / ring %d",
-				id, a.ShardFor(id), b.ShardFor(id), ring.Owner(id))
+		if resp, body := do(t, "PUT", base+"/db/"+id, basket(t)); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("put %s: %d %s", id, resp.StatusCode, body)
 		}
-	}
-
-	srv, ts := newShardedServer(t, server.WithShards(4))
-	id := "weather"
-	if resp, body := do(t, "PUT", ts.URL+"/db/"+id, basket(t)); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("put: %d %s", resp.StatusCode, body)
-	}
-	_, body := do(t, "GET", ts.URL+"/db/"+id+"/lattice", "")
-	var li struct {
-		Shard int `json:"shard"`
-	}
-	if err := json.Unmarshal(body, &li); err != nil {
-		t.Fatal(err)
-	}
-	if li.Shard != srv.ShardFor(id) {
-		t.Fatalf("lattice endpoint reports shard %d, router says %d", li.Shard, srv.ShardFor(id))
+		_, body := do(t, "GET", base+"/db/"+id+"/lattice", "")
+		var li struct {
+			Shard int `json:"shard"`
+		}
+		if err := json.Unmarshal(body, &li); err != nil {
+			t.Fatal(err)
+		}
+		if li.Shard != ring.Owner(id) {
+			t.Fatalf("%s: lattice endpoint reports shard %d, ring says %d", id, li.Shard, ring.Owner(id))
+		}
 	}
 }
 
-// TestMultiShardLifecycle drives the whole API surface at four shards: the
-// HTTP contract is byte-compatible with the single-shard service, and
-// GET /shards accounts every database exactly once.
+// TestMultiShardLifecycle drives the whole API surface through a router
+// over four shard processes: the HTTP contract is byte-compatible with the
+// single-process service, and GET /shards accounts every database exactly
+// once.
 func TestMultiShardLifecycle(t *testing.T) {
-	srv, ts := newShardedServer(t, server.WithShards(4))
+	reg := metrics.NewRegistry()
+	_, base := newClusterFront(t, 4, []server.RouterOption{server.WithRouterRegistry(reg)})
 
 	const n = 8
 	ids := make([]string, n)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("life%d", i)
-		if resp, body := do(t, "PUT", ts.URL+"/db/"+ids[i], basket(t)); resp.StatusCode != http.StatusCreated {
+		if resp, body := do(t, "PUT", base+"/db/"+ids[i], basket(t)); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("put %s: %d %s", ids[i], resp.StatusCode, body)
 		}
 	}
 
 	// List spans all shards, sorted.
-	_, body := do(t, "GET", ts.URL+"/db", "")
+	_, body := do(t, "GET", base+"/db", "")
 	var infos []server.DBInfo
 	if err := json.Unmarshal(body, &infos); err != nil {
 		t.Fatal(err)
@@ -164,7 +138,7 @@ func TestMultiShardLifecycle(t *testing.T) {
 
 	// Mining, saved sets, and stats work wherever the id landed.
 	for _, id := range ids {
-		resp, body := do(t, "POST", ts.URL+"/db/"+id+"/mine",
+		resp, body := do(t, "POST", base+"/db/"+id+"/mine",
 			`{"min_count":2,"save_as":"s"}`)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("mine %s: %d %s", id, resp.StatusCode, body)
@@ -178,8 +152,8 @@ func TestMultiShardLifecycle(t *testing.T) {
 		}
 	}
 
-	// /shards accounts each database once and reports the lattice slices.
-	_, body = do(t, "GET", ts.URL+"/shards", "")
+	// /shards accounts each database once and reports each shard's store.
+	_, body = do(t, "GET", base+"/shards", "")
 	var shards []server.ShardInfo
 	if err := json.Unmarshal(body, &shards); err != nil {
 		t.Fatal(err)
@@ -203,11 +177,11 @@ func TestMultiShardLifecycle(t *testing.T) {
 	}
 
 	for _, id := range ids {
-		if resp, _ := do(t, "DELETE", ts.URL+"/db/"+id, ""); resp.StatusCode != http.StatusNoContent {
+		if resp, _ := do(t, "DELETE", base+"/db/"+id, ""); resp.StatusCode != http.StatusNoContent {
 			t.Fatalf("delete %s: %d", id, resp.StatusCode)
 		}
 	}
-	if got := srv.Registry().Gauge("shard_count").Value(); got != 4 {
+	if got := reg.Snapshot().Gauges["shard_count"]; got != 4 {
 		t.Fatalf("shard_count metric = %d, want 4", got)
 	}
 }
@@ -216,8 +190,7 @@ func TestMultiShardLifecycle(t *testing.T) {
 // gets the documented 429 contract, other tenants are unaffected, and
 // deleting restores headroom.
 func TestTenantQuotaDBs(t *testing.T) {
-	srv, ts := newShardedServer(t,
-		server.WithShards(2), server.WithQuotas(shard.Quotas{MaxDBs: 1}))
+	srv, ts := newServer(t, server.WithQuotas(shard.Quotas{MaxDBs: 1}))
 
 	if resp, body := doAs(t, "alice", "PUT", ts.URL+"/db/a1", basket(t)); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("first put: %d %s", resp.StatusCode, body)
@@ -252,10 +225,10 @@ func TestTenantQuotaDBs(t *testing.T) {
 
 // TestTenantQuotaJobs proves the async-job quota: one tenant's saturated
 // slice rejects only that tenant, the slot frees when the job terminates
-// (here: cancelled while running), and job ids are namespaced per shard.
+// (here: cancelled while running), and single-process job ids stay
+// unprefixed.
 func TestTenantQuotaJobs(t *testing.T) {
-	_, ts := newShardedServer(t,
-		server.WithShards(2), server.WithWorkers(2), server.WithQueueDepth(8),
+	_, ts := newServer(t, server.WithWorkers(2), server.WithQueueDepth(8),
 		server.WithQuotas(shard.Quotas{MaxQueuedJobs: 1}))
 
 	do(t, "PUT", ts.URL+"/db/slow", slowBasket(30, 60))
@@ -270,8 +243,8 @@ func TestTenantQuotaJobs(t *testing.T) {
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(snap.ID, "s") || !strings.Contains(snap.ID, "-j") {
-		t.Fatalf("job id %q lacks the per-shard prefix (s<idx>-j<seq>)", snap.ID)
+	if !strings.HasPrefix(snap.ID, "j") {
+		t.Fatalf("job id %q is not the single-process form j<seq>", snap.ID)
 	}
 
 	// Alice's slice is full; bob's is not.
@@ -313,8 +286,7 @@ func TestTenantQuotaJobs(t *testing.T) {
 // at the door, non-saving mines are never affected, and deleting the
 // database refunds the bytes.
 func TestTenantQuotaPatternBytes(t *testing.T) {
-	_, ts := newShardedServer(t,
-		server.WithQuotas(shard.Quotas{MaxPatternBytes: 1}))
+	_, ts := newServer(t, server.WithQuotas(shard.Quotas{MaxPatternBytes: 1}))
 
 	if resp, body := doAs(t, "alice", "PUT", ts.URL+"/db/pb", basket(t)); resp.StatusCode != http.StatusCreated {
 		t.Fatalf("put: %d %s", resp.StatusCode, body)
@@ -351,14 +323,15 @@ func TestTenantQuotaPatternBytes(t *testing.T) {
 }
 
 // TestTenantsOnDistinctShardsConcurrent hammers two tenants whose databases
-// live on different shards from concurrent goroutines — under -race this
-// proves the shards share no unsynchronized state.
+// live on different shard processes from concurrent goroutines through one
+// router — under -race this proves the router and the shard servers share
+// no unsynchronized state.
 func TestTenantsOnDistinctShardsConcurrent(t *testing.T) {
-	srv, ts := newShardedServer(t, server.WithShards(2))
-	ids := idsOnDistinctShards(t, srv, 2)
+	_, base := newClusterFront(t, 2, nil)
+	ids := ringIDs(t, 2)
 	tenants := []string{"alice", "bob"}
 	for i, id := range ids {
-		if resp, body := doAs(t, tenants[i], "PUT", ts.URL+"/db/"+id, basket(t)); resp.StatusCode != http.StatusCreated {
+		if resp, body := doAs(t, tenants[i], "PUT", base+"/db/"+id, basket(t)); resp.StatusCode != http.StatusCreated {
 			t.Fatalf("put %s: %d %s", id, resp.StatusCode, body)
 		}
 	}
@@ -370,7 +343,7 @@ func TestTenantsOnDistinctShardsConcurrent(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 15; k++ {
 				req := fmt.Sprintf(`{"min_count":2,"save_as":"r%d"}`, k%3)
-				resp, body := doAs(t, tenants[i], "POST", ts.URL+"/db/"+ids[i]+"/mine", req)
+				resp, body := doAs(t, tenants[i], "POST", base+"/db/"+ids[i]+"/mine", req)
 				if resp.StatusCode != http.StatusOK {
 					errs <- fmt.Sprintf("mine %s: %d %s", ids[i], resp.StatusCode, body)
 					return
@@ -385,15 +358,16 @@ func TestTenantsOnDistinctShardsConcurrent(t *testing.T) {
 	}
 }
 
-// TestJobsAcrossShards proves the jobs surface spans shards: list merges
-// every pool, and get/cancel resolve ids wherever they were minted.
+// TestJobsAcrossShards proves the router's jobs surface spans shard
+// processes: list merges every pool, and get/cancel resolve ids wherever
+// they were minted.
 func TestJobsAcrossShards(t *testing.T) {
-	srv, ts := newShardedServer(t, server.WithShards(3), server.WithWorkers(3))
-	ids := idsOnDistinctShards(t, srv, 3)
+	_, base := newClusterFront(t, 3, nil)
+	ids := ringIDs(t, 3)
 	jobIDs := make([]string, len(ids))
 	for i, id := range ids {
-		do(t, "PUT", ts.URL+"/db/"+id, slowBasket(30, 60))
-		resp, body := do(t, "POST", ts.URL+"/db/"+id+"/mine?async=1", `{"min_count":1}`)
+		do(t, "PUT", base+"/db/"+id, slowBasket(30, 60))
+		resp, body := do(t, "POST", base+"/db/"+id+"/mine?async=1", `{"min_count":1}`)
 		if resp.StatusCode != http.StatusAccepted {
 			t.Fatalf("async %s: %d %s", id, resp.StatusCode, body)
 		}
@@ -404,13 +378,13 @@ func TestJobsAcrossShards(t *testing.T) {
 			t.Fatal(err)
 		}
 		jobIDs[i] = s.ID
-		want := fmt.Sprintf("s%d-", srv.ShardFor(id))
+		want := fmt.Sprintf("s%d-", i)
 		if !strings.HasPrefix(s.ID, want) {
 			t.Fatalf("job for %s got id %q, want prefix %q", id, s.ID, want)
 		}
 	}
 
-	_, body := do(t, "GET", ts.URL+"/jobs", "")
+	_, body := do(t, "GET", base+"/jobs", "")
 	var list []struct {
 		ID string `json:"id"`
 	}
@@ -421,11 +395,19 @@ func TestJobsAcrossShards(t *testing.T) {
 		t.Fatalf("job list has %d entries, want %d (%s)", len(list), len(jobIDs), body)
 	}
 
+	// Ids without a ring-position prefix, or naming a position past the
+	// ring, are no job of this cluster.
+	for _, id := range []string{"j1", "s9-j1"} {
+		if resp, body := do(t, "GET", base+"/jobs/"+id, ""); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("get %s: %d %s, want 404", id, resp.StatusCode, body)
+		}
+	}
+
 	for _, id := range jobIDs {
-		if resp, body := do(t, "GET", ts.URL+"/jobs/"+id, ""); resp.StatusCode != http.StatusOK {
+		if resp, body := do(t, "GET", base+"/jobs/"+id, ""); resp.StatusCode != http.StatusOK {
 			t.Fatalf("get %s: %d %s", id, resp.StatusCode, body)
 		}
-		if resp, body := do(t, "DELETE", ts.URL+"/jobs/"+id, ""); resp.StatusCode != http.StatusOK {
+		if resp, body := do(t, "DELETE", base+"/jobs/"+id, ""); resp.StatusCode != http.StatusOK {
 			t.Fatalf("cancel %s: %d %s", id, resp.StatusCode, body)
 		}
 	}

@@ -1,19 +1,16 @@
-// The per-shard request surface: every handler in this file is scoped to
-// exactly one engineShard — its database map, its job pool, its lattice
-// store slice. This is the surface behind the shard.Backend seam: the
-// in-process router reaches it through a direct handler call (localBackend),
-// a multi-process router through real HTTP (shard.Remote) against a
-// `rpserved -role shard` process serving this same table. A shard never
-// consults the ring: it trusts the router to send it only what it owns,
-// which is what keeps the handlers identical whether the "router" is a
-// struct in this process or a process on another machine.
+// The engine shard's request surface: every handler in this file is scoped
+// to the process's engineShard — its database map, its job pool, its
+// lattice store. A single-process server serves this table directly, and so
+// does a `rpserved -role shard` process, which a Router reaches over HTTP
+// (shard.Remote). A shard never consults the ring: it trusts the router to
+// send it only what it owns, which keeps the handlers identical in both
+// deployments.
 package server
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"sort"
 	"time"
@@ -26,8 +23,8 @@ import (
 	"gogreen/internal/store"
 )
 
-// routes is the complete per-shard endpoint table, mirroring the public
-// surface route for route (the router forwards or aggregates every row).
+// routes is the shard's endpoint table — the public surface; a Router
+// forwards or aggregates every row.
 func (sh *engineShard) routes() []route {
 	return []route{
 		{"GET /db", sh.handleList},
@@ -48,8 +45,16 @@ func (sh *engineShard) routes() []route {
 	}
 }
 
-// handler builds the shard's HTTP surface. It is what a `-role shard`
-// process listens on, and what localBackend invokes in-process.
+// patterns lists a route table's "METHOD /pattern" keys in order.
+func patterns(rs []route) []string {
+	out := make([]string, len(rs))
+	for i, r := range rs {
+		out[i] = r.pattern
+	}
+	return out
+}
+
+// handler builds the shard's HTTP surface.
 func (sh *engineShard) handler() http.Handler {
 	mux := http.NewServeMux()
 	for _, r := range sh.routes() {
@@ -85,9 +90,14 @@ type healthBody struct {
 	Healthy int `json:"healthy,omitempty"`
 }
 
-// handleHealthz answers the router's liveness probe: a 200 means the shard
-// is accepting work (the handler running at all is the proof).
+// handleHealthz answers liveness probes: a 200 means the shard is accepting
+// work (the handler running at all is the proof). A single-process server
+// reports itself as a ring of one healthy shard.
 func (sh *engineShard) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+	if sh.srv.shardIndex < 0 {
+		writeJSON(w, http.StatusOK, healthBody{Status: "ok", Role: "server", Shards: 1, Healthy: 1})
+		return
+	}
 	writeJSON(w, http.StatusOK, healthBody{Status: "ok", Role: "shard", Shard: sh.id})
 }
 
@@ -410,7 +420,7 @@ func (sh *engineShard) handleMine(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// enqueueMine submits the request to this shard's async worker pool,
+// enqueueMine submits the request to the shard's async worker pool,
 // charging the submitting tenant's job quota for the job's whole queued-or-
 // running lifetime.
 func (sh *engineShard) enqueueMine(w http.ResponseWriter, tenant string, e *entry, req MineRequest, min int) {
@@ -523,6 +533,3 @@ func (sh *engineShard) handlePatternGet(w http.ResponseWriter, r *http.Request) 
 	}
 	writeJSON(w, http.StatusOK, out)
 }
-
-// fmtShardLabel labels one in-process shard for Backend.Addr.
-func fmtShardLabel(id int) string { return fmt.Sprintf("local[%d]", id) }

@@ -10,11 +10,15 @@ import (
 	"strings"
 )
 
-// Remote is the Backend of a shard process reached over HTTP: it forwards
-// routed requests verbatim (method, path, query, headers — X-Tenant
-// included — and body) and copies the shard's response back unchanged, so
-// the forwarding contract holds byte-for-byte: a remote quota 429 carries
-// the same status, JSON error body and Retry-After header a local one would.
+// Remote carries requests from the router to one shard process over HTTP.
+// The router owns *where* a request goes (the consistent-hash Ring) and
+// *whether* the shard is reachable (health probes, drain barriers); Remote
+// owns carrying it there. It forwards routed requests verbatim (method,
+// path, query, headers — X-Tenant included — and body) and copies the
+// shard's response back unchanged, so the forwarding contract holds
+// byte-for-byte: a quota 429 through the router carries the same status,
+// JSON error body and Retry-After header as one from a single-process
+// server.
 //
 // Remote is safe for concurrent use; its http.Client keeps per-host
 // connections pooled across requests.
@@ -59,10 +63,11 @@ var hopHeaders = []string{
 	"Te", "Trailer", "Transfer-Encoding", "Upgrade",
 }
 
-// Serve implements Backend: forward r to the shard process and copy the
-// response back byte-for-byte. A transport failure before any response
-// arrived returns the error with nothing written; once the shard's status
-// has been committed to w, a mid-body failure can only truncate.
+// Serve forwards r to the shard process and copies the response back
+// byte-for-byte. A transport failure before any response arrived returns
+// the error with nothing written, so the caller still owns the response
+// (and typically answers 503); once the shard's status has been committed
+// to w, a mid-body failure can only truncate.
 func (b *Remote) Serve(w http.ResponseWriter, r *http.Request) error {
 	out := r.Clone(r.Context())
 	out.URL.Scheme = b.base.Scheme
@@ -99,8 +104,11 @@ func isHopHeader(k string) bool {
 	return false
 }
 
-// Fetch implements Backend: GET path on the shard and decode the JSON body
-// into v (nil drains and discards it). Any non-2xx status is an error.
+// Fetch GETs path on the shard and decodes the JSON body into v (nil drains
+// and discards it — used by health probes). Any non-2xx status is an error:
+// Fetch is the router's structured side channel for aggregation (GET /db,
+// /jobs, /shards) and /healthz probing, where anything but success means
+// "leave this shard out".
 func (b *Remote) Fetch(ctx context.Context, path string, v any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base.String()+path, nil)
 	if err != nil {
@@ -122,10 +130,11 @@ func (b *Remote) Fetch(ctx context.Context, path string, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
-// Addr implements Backend.
+// Addr identifies the shard for logs and errors: its base URL.
 func (b *Remote) Addr() string { return b.base.String() }
 
-// Close implements Backend: drop pooled connections.
+// Close drops pooled connections. The router closes a backend only after
+// its in-flight requests drained.
 func (b *Remote) Close() error {
 	b.client.CloseIdleConnections()
 	return nil

@@ -6,9 +6,9 @@
 // The package is deliberately free of HTTP and mining concerns — it decides
 // *where* a request goes and *whether* it is admitted; internal/server owns
 // what happens next. Keeping the routing function pure (shard = f(N, id),
-// no state) is what makes a later multi-process deployment a configuration
-// change: any process holding the same (N, id) pair computes the same owner,
-// so a fronting proxy can apply the identical ring.
+// no state) is what makes the multi-process deployment a configuration
+// choice: any process holding the same (N, id) pair computes the same owner,
+// so the router and every shard process agree on placement.
 package shard
 
 import (
@@ -33,9 +33,10 @@ const DefaultReplicas = 128
 // Changing N rebalances: growing from N to N+1 shards moves only the keys
 // whose nearest point now belongs to the new shard (≈ 1/(N+1) of all keys),
 // and every moved key moves *to* the new shard — keys never shuffle between
-// surviving shards. This is documented, tested behavior: in-process shards
-// hold only derived state (caches, job queues), so a rebalance costs warm-up,
-// not correctness.
+// surviving shards. This is documented, tested behavior. Shard processes
+// own durable state, so moving keys means moving stored databases; nothing
+// migrates them today, which is why a server refuses a data dir holding
+// another ring position's store.
 //
 // Ring is immutable after New and safe for concurrent use.
 type Ring struct {

@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// Quotas bounds what one tenant may hold across the whole service (quotas
-// are per tenant, not per shard: a tenant's databases hash onto many shards,
-// but its budget is one number). A zero field means unlimited; the zero
+// Quotas bounds what one tenant may hold in the process that enforces them
+// (a single-process server, or each shard process of a cluster from its own
+// flags). A zero field means unlimited; the zero
 // Quotas admits everything, which keeps single-user deployments
 // byte-compatible with the pre-quota service.
 type Quotas struct {
