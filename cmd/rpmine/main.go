@@ -19,7 +19,7 @@
 //
 // With -data-dir the lattice persists across invocations: rungs mined by one
 // run are recovered by the next run on the same input, so separate processes
-// sweep as cheaply as one (a changed input file resets its ladder):
+// sweep as cheaply as one (an input whose tuples changed resets its ladder):
 //
 //	rpmine -in data.basket -minsup 0.05 -data-dir .rpmine-cache
 //	rpmine -in data.basket -minsup 0.05 -data-dir .rpmine-cache   # pure filter
@@ -33,10 +33,12 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -56,7 +58,6 @@ func main() {
 	var (
 		in       = flag.String("in", "", "input basket file (numeric item ids)")
 		minsup   = flag.String("minsup", "0.01", "minimum support (fraction <1, or absolute count >=1); a comma-separated list runs a lattice-served sweep")
-		latticed = flag.Bool("lattice", true, "serve multi-threshold sweeps through the materialized threshold lattice")
 		dataDir  = flag.String("data-dir", "", "persist mined lattice rungs in this directory, so later invocations on the same input filter or relax instead of mining cold (implies the lattice serving path)")
 		algo     = flag.String("algo", "hmine", "algorithm (see doc comment)")
 		strategy = flag.String("strategy", "mcp", "compression strategy for recycling: mcp or mlp")
@@ -125,7 +126,7 @@ func main() {
 		if *memMB > 0 {
 			fatal(fmt.Errorf("-mem is not supported with a -minsup sweep or -data-dir"))
 		}
-		if err := sweep(db, mins, *algo, strat, recycled, recycledMin, *workers, *latticed, *dataDir, *in, sink); err != nil {
+		if err := sweep(db, mins, *algo, strat, recycled, recycledMin, *workers, *dataDir, *in, sink); err != nil {
 			fatal(err)
 		}
 	} else if err := mine(db, min, *algo, strat, recycled, int64(*memMB)<<20, *workers, sink); err != nil {
@@ -213,48 +214,43 @@ func parseMinsups(s string, dbLen int) ([]int, error) {
 }
 
 // sweep mines several thresholds in one process through the engine's
-// cache-aware serving path: with -lattice (the default) each round filters
-// or relax-mines from the rungs earlier rounds installed; without it, each
-// round still recycles the previous round's result as its prior. Only the
-// last round streams into sink.
+// cache-aware serving path: each round filters or relax-mines from the rungs
+// earlier rounds installed, with the previous round's result as its prior.
+// Only the last round streams into sink.
 //
 // With dataDir the lattice outlives the process: rungs persisted by earlier
 // invocations on the same input are re-installed before round one, and every
 // rung this sweep installs is written back, so a shell loop over thresholds
 // recycles exactly like a long-lived session.
-func sweep(db *dataset.DB, mins []int, algo string, strat core.Strategy, recycled []mining.Pattern, recycledMin, workers int, latticed bool, dataDir, inPath string, sink mining.Sink) error {
+func sweep(db *dataset.DB, mins []int, algo string, strat core.Strategy, recycled []mining.Pattern, recycledMin, workers int, dataDir, inPath string, sink mining.Sink) error {
 	d, ok := engine.Lookup(algo)
 	if !ok {
 		return fmt.Errorf("rpmine: unknown algorithm %q (run rpmine -list)", algo)
 	}
-	p := engine.Pipeline{Strategy: strat, MineWorkers: workers}
+	p := engine.Pipeline{Strategy: strat, MineWorkers: workers, Cache: engine.SharedStore().Cache(db)}
 	if d.Kind == engine.Fresh {
 		p.Fresh = algo
 	} else {
 		p.Recycled = algo
 	}
-	cfg := engine.CacheConfig{Enabled: latticed}
-	cfg.Attach(&p, db)
 
 	var st *store.Store
 	dbID := ""
-	if dataDir != "" && latticed {
+	if dataDir != "" {
 		var err error
 		if st, err = store.Open(dataDir, store.Options{}); err != nil {
 			return fmt.Errorf("rpmine: open -data-dir: %w", err)
 		}
 		defer st.Close()
-		// Rungs are keyed by the input's base name; a tuple-count mismatch
-		// means the file changed, which resets its persisted ladder.
+		// Rungs are keyed by the input's base name and trusted only while the
+		// stored database equals the input tuple for tuple; any change
+		// rewrites it, which resets its persisted ladder.
 		dbID = filepath.Base(inPath)
-		stale := true
-		for _, m := range st.List() {
-			if m.ID == dbID {
-				stale = m.NumTx != db.Len()
-				break
-			}
+		old, err := st.LoadDB(dbID)
+		if err != nil && !errors.Is(err, store.ErrNotFound) {
+			return fmt.Errorf("rpmine: load stored input: %w", err)
 		}
-		if stale {
+		if old == nil || !slices.EqualFunc(old.All(), db.All(), slices.Equal[[]dataset.Item]) {
 			if err := st.PutDB(dbID, "local", db); err != nil {
 				return fmt.Errorf("rpmine: persist input: %w", err)
 			}
@@ -286,15 +282,12 @@ func sweep(db *dataset.DB, mins []int, algo string, strat core.Strategy, recycle
 				return fmt.Errorf("rpmine: persist rung: %w", err)
 			}
 		}
-		from, cache := string(run.Source), run.Cache
+		from := string(run.Source)
 		if run.BasedOn != "" {
 			from += " from " + run.BasedOn
 		}
-		if cache == "" {
-			cache = "off"
-		}
 		fmt.Fprintf(os.Stderr, "round %d: minsup=%d -> %d patterns (%s, cache %s, %v)\n",
-			i+1, m, len(run.Patterns), from, cache, run.Elapsed)
+			i+1, m, len(run.Patterns), from, run.Cache, run.Elapsed)
 		if i == len(mins)-1 {
 			for _, pat := range run.Patterns {
 				sink.Emit(pat.Items, pat.Support)

@@ -53,9 +53,8 @@
 // store, naming the `-role shard -shard-index <j>` process that should
 // serve it.
 //
-// Mining responses flow through the materialized threshold lattice (disable
-// with -lattice=false, budget with -cache-budget-mb, snap installs to a grid
-// with -lattice-rungs): repeated or tightened thresholds are answered by
+// Mining responses flow through the materialized threshold lattice (budget
+// with -cache-budget-mb): repeated or tightened thresholds are answered by
 // pure filtering, relaxed ones seed recycling from the nearest rung.
 // Inspect or drop a database's ladder with GET/DELETE /db/{id}/lattice.
 //
@@ -76,7 +75,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -96,9 +94,7 @@ func main() {
 		maxDBs        = flag.Int("tenant-max-dbs", 0, "per-tenant resident database quota (0 = unlimited)")
 		maxJobs       = flag.Int("tenant-max-jobs", 0, "per-tenant queued async job quota (0 = unlimited)")
 		maxPatMB      = flag.Int64("tenant-max-pattern-mb", 0, "per-tenant saved-pattern budget in MiB (0 = unlimited)")
-		latticeOn     = flag.Bool("lattice", true, "serve repeated thresholds from the materialized threshold lattice")
 		cacheMB       = flag.Int64("cache-budget-mb", 0, "lattice cache budget in MiB (0 = default 64)")
-		rungs         = flag.String("lattice-rungs", "", "comma-separated relative thresholds to snap lattice installs to (e.g. 0.5,0.2,0.1)")
 		pprofOn       = flag.Bool("pprof", false, "mount /debug/pprof/ profiling endpoints")
 		drain         = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain deadline")
 		dataDir       = flag.String("data-dir", "", "durable data directory (empty = in-memory; uploads, saves and mined rungs survive restarts)")
@@ -125,10 +121,6 @@ func main() {
 		log.Fatalf("rpserved: unknown -role %q (want server, shard or router)", *role)
 	}
 
-	grid, err := parseRungs(*rungs)
-	if err != nil {
-		log.Fatalf("rpserved: %v", err)
-	}
 	srv, err := server.Open(
 		server.WithShardIndex(*shardIndex),
 		server.WithMaxBodyBytes(*maxBody<<20),
@@ -141,8 +133,6 @@ func main() {
 			MaxQueuedJobs:   *maxJobs,
 			MaxPatternBytes: *maxPatMB << 20,
 		}),
-		server.WithLattice(*latticeOn),
-		server.WithLatticeRungs(grid),
 		server.WithCacheBudget(*cacheMB<<20),
 		server.WithDataDir(*dataDir),
 		server.WithSnapshotInterval(*snapshotEvery),
@@ -244,22 +234,6 @@ func runRouter(addr, shardAddrs string, probeInterval time.Duration, probeFailur
 	if err := rt.Close(); err != nil {
 		log.Printf("rpserved: router close: %v", err)
 	}
-}
-
-// parseRungs parses the -lattice-rungs grid of relative thresholds.
-func parseRungs(s string) ([]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-		if err != nil || v <= 0 || v >= 1 {
-			return nil, fmt.Errorf("bad -lattice-rungs entry %q (want fractions in (0,1))", f)
-		}
-		out = append(out, v)
-	}
-	return out, nil
 }
 
 // logRequests is a minimal access log.

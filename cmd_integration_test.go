@@ -112,6 +112,38 @@ func TestCLIPipeline(t *testing.T) {
 	}
 }
 
+// TestCLIDataDirStaleInput: rungs persisted under -data-dir must not answer
+// for an input that changed under the same name, even when the tuple count
+// did not.
+func TestCLIDataDirStaleInput(t *testing.T) {
+	bins := buildCmds(t, "rpmine")
+	dir := t.TempDir()
+	basket := filepath.Join(dir, "in.basket")
+	cache := filepath.Join(dir, "cache")
+	mine := func() int {
+		t.Helper()
+		msg, err := run(t, bins["rpmine"], "-in", basket, "-minsup", "0.4", "-data-dir", cache, "-quiet")
+		if err != nil {
+			t.Fatalf("rpmine: %v\n%s", err, msg)
+		}
+		return extractCount(t, msg)
+	}
+
+	if err := os.WriteFile(basket, []byte("1 2 3\n1 2\n2 3\n1 3\n1 2 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := mine(); got != 7 {
+		t.Fatalf("first input: %d patterns, want 7", got)
+	}
+	// Same name, same tuple count, different tuples.
+	if err := os.WriteFile(basket, []byte("7\n7\n8\n9\n9\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := mine(); got != 2 {
+		t.Fatalf("rewritten input: %d patterns, want 2 (stale rungs served)", got)
+	}
+}
+
 // extractCount parses "found N frequent patterns" from rpmine's stderr.
 func extractCount(t *testing.T, out string) int {
 	t.Helper()

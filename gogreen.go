@@ -21,7 +21,10 @@
 //
 // The sub-systems (constraint framework, memory-limited mining, pattern
 // persistence, interactive sessions, synthetic dataset generators) are
-// exposed through the same module; see README.md for the map.
+// exposed through the same module; see README.md for the map. The facade
+// itself keeps no state between calls: the materialized threshold lattice
+// lives behind the session, incremental and two-step layers and the HTTP
+// service.
 package gogreen
 
 import (
@@ -156,11 +159,6 @@ type MineOptions struct {
 	// set and supports are identical to serial mining; only the emission
 	// order differs.
 	MineWorkers int
-	// Cache configures the materialized threshold lattice (off by default at
-	// this surface). It is the one cache option struct shared with the
-	// session and server layers; set it through WithLattice,
-	// WithLatticeRungs and WithCacheBudget.
-	Cache engine.CacheConfig
 }
 
 // MineOption configures one call of Mine or MineRecycling.
@@ -197,35 +195,6 @@ func WithCompressWorkers(n int) MineOption { return func(o *MineOptions) { o.Com
 // count; only the emission order differs.
 func WithMineWorkers(n int) MineOption { return func(o *MineOptions) { o.MineWorkers = n } }
 
-// WithLattice enables (or disables) the materialized threshold lattice for
-// the call. When enabled, Mine consults the process-wide shared pattern
-// cache keyed by database identity: a threshold at or above a cached rung is
-// answered by pure filtering (no mining), one below the ladder relax-mines
-// from the nearest rung via the recycling pipeline, and every mined result
-// is installed as a new rung (evicted globally least-recently-used under the
-// cache's byte budget). Result.Cache reports "hit", "relax" or "miss". Off
-// by default at this surface; the HTTP server enables it by default.
-func WithLattice(on bool) MineOption {
-	return func(o *MineOptions) { engine.WithLattice(on)(&o.Cache) }
-}
-
-// WithLatticeRungs sets the lattice install grid as relative support
-// thresholds (fractions of |DB|): a mining round triggered by threshold ξ
-// mines and caches at the largest grid rung ≤ ξ and filters the answer down
-// to ξ, so nearby thresholds share one materialized rung. It does not itself
-// enable the lattice.
-func WithLatticeRungs(rungs []float64) MineOption {
-	return func(o *MineOptions) { engine.WithLatticeRungs(rungs)(&o.Cache) }
-}
-
-// WithCacheBudget caps the resident bytes of the lattice store (default 64
-// MiB), metered with the same cost model as memory-limited mining. At this
-// surface the store is process-wide, so the budget applies to every cached
-// database in the process. It does not itself enable the lattice.
-func WithCacheBudget(bytes int64) MineOption {
-	return func(o *MineOptions) { engine.WithCacheBudget(bytes)(&o.Cache) }
-}
-
 // resolve applies the options and computes the absolute threshold.
 func resolve(db *DB, opts []MineOption) (MineOptions, int, error) {
 	o := MineOptions{Strategy: MCP, Engine: RecycleHMine}
@@ -239,43 +208,32 @@ func resolve(db *DB, opts []MineOption) (MineOptions, int, error) {
 	return o, min, nil
 }
 
-// pipeline assembles the engine pipeline one facade call runs through. With
-// the lattice enabled, the pipeline carries db's ladder from the shared
-// process-wide store (identity-keyed, so equal content in a different *DB
-// is a different ladder).
-func (o MineOptions) pipeline(db *DB, algo Algorithm) engine.Pipeline {
-	p := engine.Pipeline{
+// pipeline assembles the engine pipeline one facade call runs through.
+func (o MineOptions) pipeline(algo Algorithm) engine.Pipeline {
+	return engine.Pipeline{
 		Fresh:           string(algo),
 		Recycled:        string(o.Engine),
 		Strategy:        o.Strategy,
 		CompressWorkers: o.CompressWorkers,
 		MineWorkers:     o.MineWorkers,
 	}
-	o.Cache.Attach(&p, db)
-	return p
 }
 
 // Mine runs a baseline algorithm under ctx and returns the round's Result.
 // Cancellation and deadlines abort the recursion cooperatively within
-// microseconds. With WithLattice the round is served through the threshold
-// lattice and may not mine at all.
+// microseconds.
 func Mine(ctx context.Context, db *DB, algo Algorithm, opts ...MineOption) (Result, error) {
 	o, min, err := resolve(db, opts)
 	if err != nil {
 		return Result{}, err
 	}
-	p := o.pipeline(db, algo)
-	run, err := p.Serve(ctx, db, nil, min, o.Sink)
+	p := o.pipeline(algo)
+	run, err := p.Mine(ctx, db, min, o.Sink)
 	if err != nil {
 		return Result{}, err
 	}
 	return run.Result, nil
 }
-
-// InvalidateLattice drops db's ladder from the process-wide shared pattern
-// cache. Call it when the underlying data a *DB was built from has changed
-// meaning and a same-identity database will be re-mined.
-func InvalidateLattice(db *DB) { engine.SharedStore().Invalidate(db) }
 
 // Compress runs phase one of recycling: cover db's tuples with the
 // highest-utility recycled patterns.
@@ -299,16 +257,10 @@ func MineRecycling(ctx context.Context, db *DB, recycled []Pattern, opts ...Mine
 	if err != nil {
 		return Result{}, err
 	}
-	p := o.pipeline(db, "")
+	p := o.pipeline("")
 	run, err := p.MineRecycling(ctx, db, recycled, min, o.Sink)
 	if err != nil {
 		return Result{}, err
-	}
-	// The caller chose the seed explicitly, so the lattice is not consulted
-	// here — but a complete collected result is still worth materializing
-	// for later Mine calls.
-	if p.Cache != nil && o.Sink == nil {
-		p.Cache.Install(min, run.Patterns)
 	}
 	return run.Result, nil
 }

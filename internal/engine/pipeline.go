@@ -108,14 +108,14 @@ type Run struct {
 	Algo string
 	// CompressStats summarizes phase one of a recycled run; nil otherwise.
 	CompressStats *core.Stats
-	// Installed describes the lattice rung Serve materialized this round
-	// (the complete pattern set at the grid-snapped threshold, possibly
-	// below the answer's); nil when nothing was installed. Callers that
-	// persist the lattice write this rung through to disk.
+	// Installed describes the lattice rung this round materialized (the
+	// complete pattern set at the round's threshold); nil when nothing was
+	// installed. Callers that persist the lattice write this rung through
+	// to disk.
 	Installed *InstalledRung
 }
 
-// InstalledRung is the rung a Serve round added to the threshold ladder.
+// InstalledRung is the rung a round added to the threshold ladder.
 type InstalledRung struct {
 	// MinCount is the absolute threshold the rung was installed at.
 	MinCount int
@@ -159,12 +159,10 @@ type Pipeline struct {
 	// events of Serve.
 	Observer PhaseObserver
 	// Cache, when set, is this database's threshold ladder in a lattice
-	// store; Serve consults and maintains it. Nil means Serve degrades to
-	// Execute.
+	// store. Serve consults it, and every complete collected result of
+	// Mine, MineRecycling, Execute or Serve is installed into it as a rung.
+	// Nil means Serve degrades to Execute and nothing is installed.
 	Cache *lattice.Cache
-	// CacheRungs is the optional install grid of relative thresholds
-	// (CacheConfig.Rungs); Serve snaps install thresholds onto it.
-	CacheRungs []float64
 }
 
 // resolveFresh returns the descriptor a fresh run will use, after worker
@@ -273,8 +271,9 @@ func (p *Pipeline) observeEnd(phase Phase, algo string, elapsed time.Duration) {
 }
 
 // Mine runs the pipeline's fresh algorithm under ctx. When sink is nil the
-// patterns are collected into the Run; otherwise they stream into sink and
-// Run.Patterns stays nil. Cancellation aborts the recursion cooperatively.
+// patterns are collected into the Run and, with a Cache attached, installed
+// as a rung; otherwise they stream into sink and Run.Patterns stays nil.
+// Cancellation aborts the recursion cooperatively.
 func (p *Pipeline) Mine(ctx context.Context, db *dataset.DB, minCount int, sink mining.Sink) (Run, error) {
 	if minCount < 1 {
 		return Run{}, mining.ErrBadMinSupport
@@ -296,6 +295,7 @@ func (p *Pipeline) Mine(ctx context.Context, db *dataset.DB, minCount int, sink 
 		Source: mining.SourceFresh, MinCount: minCount, Elapsed: elapsed}}
 	if col != nil {
 		run.Patterns = col.Patterns
+		p.install(&run)
 	}
 	return run, nil
 }
@@ -304,7 +304,7 @@ func (p *Pipeline) Mine(ctx context.Context, db *dataset.DB, minCount int, sink 
 // with the recycled patterns fp (observed as PhaseCompress), then mine the
 // compressed database with the pipeline's engine (observed as PhaseMine).
 // Run.CompressStats reports the compression; Run.Elapsed covers both
-// phases.
+// phases. A collected result is installed as in Mine.
 func (p *Pipeline) MineRecycling(ctx context.Context, db *dataset.DB, fp []mining.Pattern, minCount int, sink mining.Sink) (Run, error) {
 	if minCount < 1 {
 		return Run{}, mining.ErrBadMinSupport
@@ -336,6 +336,7 @@ func (p *Pipeline) MineRecycling(ctx context.Context, db *dataset.DB, fp []minin
 		Source: mining.SourceRecycled, MinCount: minCount, Elapsed: time.Since(start)}}
 	if col != nil {
 		run.Patterns = col.Patterns
+		p.install(&run)
 	}
 	return run, nil
 }
@@ -355,7 +356,8 @@ func (p *Pipeline) Filter(fp []mining.Pattern, minCount int) Run {
 // Execute implements the paper's decision tree for one round given the
 // prior round's knowledge: no prior → mine fresh; threshold tightened
 // (prior.MinCount <= minCount) → filter the old result; relaxed → recycle.
-// Run.BasedOn carries prior.Label on the reuse paths.
+// Run.BasedOn carries prior.Label on the reuse paths. With a Cache attached
+// and no sink, the round's complete result is installed as a rung.
 func (p *Pipeline) Execute(ctx context.Context, db *dataset.DB, prior *Prior, minCount int, sink mining.Sink) (Run, error) {
 	if prior == nil {
 		return p.Mine(ctx, db, minCount, sink)
@@ -363,12 +365,10 @@ func (p *Pipeline) Execute(ctx context.Context, db *dataset.DB, prior *Prior, mi
 	if prior.MinCount >= 1 && prior.MinCount <= minCount {
 		run := p.Filter(prior.Patterns, minCount)
 		run.BasedOn = prior.Label
-		if sink != nil {
-			for _, pat := range run.Patterns {
-				sink.Emit(pat.Items, pat.Support)
-			}
-			run.Patterns = nil
+		if sink == nil {
+			p.install(&run)
 		}
+		emitFiltered(&run, sink)
 		return run, nil
 	}
 	run, err := p.MineRecycling(ctx, db, prior.Patterns, minCount, sink)
@@ -382,24 +382,21 @@ func (p *Pipeline) Execute(ctx context.Context, db *dataset.DB, prior *Prior, mi
 // latticeLabel names a rung for Result.BasedOn.
 func latticeLabel(minCount int) string { return fmt.Sprintf("lattice-%d", minCount) }
 
-// installCount snaps a requested threshold onto the CacheRungs install grid:
-// the largest grid count at or below minCount (i.e. the nearest equal-or-
-// relaxed grid threshold, whose pattern set is a superset of the answer), or
-// minCount itself when the grid is empty or entirely above it.
-func (p *Pipeline) installCount(db *dataset.DB, minCount int) int {
-	snapped := 0
-	for _, s := range p.CacheRungs {
-		if s <= 0 || s >= 1 {
-			continue
-		}
-		if c := mining.MinCount(db.Len(), s); c >= 1 && c <= minCount && c > snapped {
-			snapped = c
-		}
+// install is the one place a mined result becomes a rung: it materializes
+// run's complete pattern set in p.Cache at run.MinCount, fires
+// cache_install/cache_evict, records the rung in run.Installed, and reports
+// the round as a cache miss (Serve overwrites that with its own outcome).
+// No-op without a Cache.
+func (p *Pipeline) install(run *Run) {
+	if p.Cache == nil {
+		return
 	}
-	if snapped >= 1 {
-		return snapped
+	if installed, evicted := p.Cache.Install(run.MinCount, run.Patterns); installed {
+		p.observeCache(CacheInstall, 1)
+		p.observeCache(CacheEvict, evicted)
+		run.Installed = &InstalledRung{MinCount: run.MinCount, Patterns: run.Patterns}
 	}
-	return minCount
+	run.Cache = string(lattice.Miss)
 }
 
 // emitFiltered streams run.Patterns into sink and clears them, matching the
@@ -425,10 +422,9 @@ func emitFiltered(run *Run, sink mining.Sink) {
 //   - miss: the empty ladder falls back to the prior-driven Execute
 //     decision tree.
 //
-// On the relax and miss paths the mined threshold snaps down onto the
-// CacheRungs grid, the complete result is installed as a new rung, and the
-// response is filtered back up to minCount. Run.Cache reports the outcome;
-// cache_* events go to a CacheObserver when the pipeline has one.
+// On the relax and miss paths the complete result at minCount is installed
+// as a new rung. Run.Cache reports the outcome; cache_* events go to a
+// CacheObserver when the pipeline has one.
 func (p *Pipeline) Serve(ctx context.Context, db *dataset.DB, prior *Prior, minCount int, sink mining.Sink) (Run, error) {
 	if p.Cache == nil {
 		return p.Execute(ctx, db, prior, minCount, sink)
@@ -456,42 +452,15 @@ func (p *Pipeline) Serve(ctx context.Context, db *dataset.DB, prior *Prior, minC
 		p.observeCache(CacheMiss, 1)
 	}
 
-	// Mining is required. Mine (or prior-filter) at the grid-snapped
-	// threshold, materialize that complete set as a rung, and answer at
-	// minCount.
-	installMin := p.installCount(db, minCount)
-	var run Run
-	var err error
-	switch {
-	case prior == nil || prior.MinCount < 1:
-		run, err = p.Mine(ctx, db, installMin, nil)
-	case prior.MinCount <= installMin:
-		run = p.Filter(prior.Patterns, installMin)
-		run.BasedOn = prior.Label
-	case prior.MinCount <= minCount:
-		// The prior tightens to the query but not to the grid rung: serve
-		// and install at the query threshold instead of mining.
-		installMin = minCount
-		run = p.Filter(prior.Patterns, minCount)
-		run.BasedOn = prior.Label
-	default:
-		run, err = p.MineRecycling(ctx, db, prior.Patterns, installMin, nil)
-		run.BasedOn = prior.Label
+	// Mining is required: the prior-driven decision tree computes the
+	// complete set at minCount, which Execute installs as a new rung.
+	if prior != nil && prior.MinCount < 1 {
+		prior = nil // a prior of unknown threshold cannot seed the round
 	}
+	run, err := p.Execute(ctx, db, prior, minCount, nil)
 	if err != nil {
 		return Run{}, err
 	}
-	if installed, evicted := p.Cache.Install(installMin, run.Patterns); installed {
-		p.observeCache(CacheInstall, 1)
-		p.observeCache(CacheEvict, evicted)
-		// The complete pre-filter set is the rung; capture it before the
-		// answer is filtered up so callers can persist what was installed.
-		run.Installed = &InstalledRung{MinCount: installMin, Patterns: run.Patterns}
-	}
-	if installMin < minCount {
-		run.Patterns = core.FilterTightened(run.Patterns, minCount)
-	}
-	run.MinCount = minCount
 	run.Cache = string(outcome)
 	emitFiltered(&run, sink)
 	return run, nil

@@ -10,6 +10,13 @@
 // and both CLIs all construct runs through this package instead of
 // assembling core.Recycler/parallel.Wrap/worker-count mappings by hand, so
 // a new algorithm or knob lands here once and appears everywhere.
+//
+// The engine is also the only module that decides when a mined result
+// becomes a rung of the threshold lattice (internal/lattice): with a
+// Pipeline.Cache attached, every complete collected result is installed at
+// its own threshold, and Pipeline.Serve consults the ladder before running
+// anything. Surfaces only choose whether to attach a ladder, and from which
+// store (SharedStore, or a private lattice.NewStore).
 package engine
 
 import (

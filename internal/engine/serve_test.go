@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"gogreen/internal/dataset"
 	"gogreen/internal/engine"
@@ -130,4 +131,61 @@ func TestServeConcurrent(t *testing.T) {
 type testingDB struct {
 	db   *dataset.DB
 	want map[int]mining.PatternSet
+}
+
+// cacheEvents is a CacheObserver that counts lattice events by name.
+type cacheEvents map[engine.CacheEvent]int
+
+func (cacheEvents) OnPhaseStart(engine.Phase, string)              {}
+func (cacheEvents) OnPhaseEnd(engine.Phase, string, time.Duration) {}
+func (c cacheEvents) OnCacheEvent(e engine.CacheEvent, n int)      { c[e] += n }
+
+// TestMineInstallsOnce: with a cache attached, Mine and MineRecycling each
+// install their collected result exactly once, as a rung at their own
+// threshold, and report it; streamed into a sink, they install nothing.
+func TestMineInstallsOnce(t *testing.T) {
+	ctx := context.Background()
+	db := testutil.PaperDB()
+	seed, err := (&engine.Pipeline{}).Mine(ctx, db, 3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stream := range []bool{false, true} {
+		events := cacheEvents{}
+		store := lattice.NewStore(1 << 20)
+		p := engine.Pipeline{Cache: store.Cache(db), Observer: events}
+		var sink mining.Sink
+		if stream {
+			sink = &mining.Collector{}
+		}
+		fresh, err := p.Mine(ctx, db, 3, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		freshInstalls := events[engine.CacheInstall]
+		recycled, err := p.MineRecycling(ctx, db, seed.Patterns, 2, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stream {
+			if len(events) != 0 || store.Rungs() != 0 || fresh.Installed != nil || recycled.Installed != nil {
+				t.Fatalf("streamed runs installed: events %v, %d rungs", events, store.Rungs())
+			}
+			continue
+		}
+		for _, r := range []struct {
+			run engine.Run
+			min int
+		}{{fresh, 3}, {recycled, 2}} {
+			if r.run.Installed == nil || r.run.Installed.MinCount != r.min || r.run.Cache != "miss" {
+				t.Fatalf("run at %d: installed %+v, cache %q", r.min, r.run.Installed, r.run.Cache)
+			}
+		}
+		if freshInstalls != 1 || events[engine.CacheInstall] != 2 || len(events) != 1 {
+			t.Fatalf("events = %v, want exactly one cache_install per run", events)
+		}
+		if rungs := store.Cache(db).Rungs(); len(rungs) != 2 || rungs[0].MinCount != 2 || rungs[1].MinCount != 3 {
+			t.Fatalf("ladder = %+v, want rungs 2 and 3", rungs)
+		}
+	}
 }

@@ -22,7 +22,6 @@ import (
 	"gogreen/internal/core"
 	"gogreen/internal/dataset"
 	"gogreen/internal/engine"
-	"gogreen/internal/lattice"
 	"gogreen/internal/mining"
 )
 
@@ -46,7 +45,6 @@ type Result struct {
 type Maintainer struct {
 	tx      [][]dataset.Item
 	pipe    engine.Pipeline
-	cache   engine.CacheConfig
 	fp      []mining.Pattern
 	mined   bool
 	dirty   bool
@@ -69,18 +67,13 @@ func WithEngine(name string) Option { return func(m *Maintainer) { m.pipe.Recycl
 // evolves, so sharing rungs with other surfaces would serve stale answers —
 // and every Insert/Delete invalidates it; between updates, repeated or
 // tightened Refresh thresholds are answered by pure filtering.
-func WithLattice(on bool) Option { return func(m *Maintainer) { engine.WithLattice(on)(&m.cache) } }
-
-// WithLatticeRungs sets the lattice install grid of relative thresholds
-// (see engine.CacheConfig.Rungs). It does not itself enable the lattice.
-func WithLatticeRungs(rungs []float64) Option {
-	return func(m *Maintainer) { engine.WithLatticeRungs(rungs)(&m.cache) }
-}
-
-// WithCacheBudget caps the shared lattice store's resident bytes. It does
-// not itself enable the lattice.
-func WithCacheBudget(bytes int64) Option {
-	return func(m *Maintainer) { engine.WithCacheBudget(bytes)(&m.cache) }
+func WithLattice(on bool) Option {
+	return func(m *Maintainer) {
+		m.pipe.Cache = nil
+		if on {
+			m.pipe.Cache = engine.SharedStore().Cache(m)
+		}
+	}
 }
 
 // New starts a maintainer over a copy of db's tuples.
@@ -91,7 +84,6 @@ func New(db *dataset.DB, opts ...Option) *Maintainer {
 	for _, o := range opts {
 		o(m)
 	}
-	m.cache.Attach(&m.pipe, m)
 	return m
 }
 
@@ -179,19 +171,14 @@ func (m *Maintainer) Refresh(minCount int) (Result, error) {
 	case recycled:
 		// The database churned since fp was mined, so the old supports are
 		// stale: always recycle (compression uses only pattern containment),
-		// never the tighten-filter shortcut.
+		// never the tighten-filter shortcut. With the lattice on, the engine
+		// seeds the freshly invalidated ladder with this exact result.
 		run, err = m.pipe.MineRecycling(context.Background(), db, m.fp, minCount, nil)
 	default:
 		run, err = m.pipe.Mine(context.Background(), db, minCount, nil)
 	}
 	if err != nil {
 		return Result{}, err
-	}
-	if m.pipe.Cache != nil && run.Cache == "" {
-		// Dirty-path mine over the freshly-invalidated ladder: the result is
-		// exact for the current database, so seed the ladder with it.
-		m.pipe.Cache.Install(minCount, run.Patterns)
-		run.Cache = string(lattice.Miss)
 	}
 	m.fp = run.Patterns
 	m.mined = true

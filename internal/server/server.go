@@ -45,7 +45,7 @@
 // another's latency.
 //
 // Mining requests are served through the materialized threshold lattice
-// (internal/lattice, on by default, see WithLattice): every mined result is
+// (internal/lattice, sized by WithCacheBudget): every mined result is
 // installed as a rung of the database's threshold ladder, and later requests
 // at any threshold are answered by pure-filtering the nearest rung below or
 // relax-mining from the nearest rung above. The store holds every ladder
@@ -115,8 +115,8 @@ type Server struct {
 	compressWorkers int
 	mineWorkers     int
 
-	// cache configures the threshold lattice (enabled by default).
-	cache engine.CacheConfig
+	// cacheBudget caps the lattice store's resident bytes.
+	cacheBudget int64
 
 	shard *engineShard
 
@@ -280,23 +280,15 @@ func WithMineWorkers(n int) Option { return func(s *Server) { s.mineWorkers = n 
 // WithRegistry uses an external metrics registry (default: a fresh one).
 func WithRegistry(reg *metrics.Registry) Option { return func(s *Server) { s.reg = reg } }
 
-// WithLattice enables or disables the materialized threshold lattice
-// (default: enabled — this surface exists for the many-users-shared-data
-// scenario the lattice was built for). Disabled, every request falls back
-// to the saved-set tighten-vs-relax decision alone.
-func WithLattice(on bool) Option { return func(s *Server) { engine.WithLattice(on)(&s.cache) } }
-
-// WithLatticeRungs sets the lattice install grid as relative support
-// thresholds: a mine at ξ materializes its rung at the largest grid value
-// ≤ ξ and filters down, so nearby thresholds share one rung.
-func WithLatticeRungs(rungs []float64) Option {
-	return func(s *Server) { engine.WithLatticeRungs(rungs)(&s.cache) }
-}
-
 // WithCacheBudget caps the lattice store's resident bytes across all
-// databases (default 64 MiB), metered with memlimit's cost model.
+// databases (default engine.DefaultCacheBudget, 64 MiB), metered with
+// memlimit's cost model. Non-positive values keep the default.
 func WithCacheBudget(bytes int64) Option {
-	return func(s *Server) { engine.WithCacheBudget(bytes)(&s.cache) }
+	return func(s *Server) {
+		if bytes > 0 {
+			s.cacheBudget = bytes
+		}
+	}
 }
 
 // WithDataDir makes the server durable: the shard persists its databases,
@@ -352,7 +344,7 @@ func Open(opts ...Option) (*Server, error) {
 		queueCap:         64,
 		shardIndex:       -1,
 		compressWorkers:  runtime.GOMAXPROCS(0),
-		cache:            engine.CacheConfig{Enabled: true},
+		cacheBudget:      engine.DefaultCacheBudget,
 		snapshotInterval: time.Minute,
 	}
 	for _, o := range opts {
@@ -378,12 +370,11 @@ func Open(opts ...Option) (*Server, error) {
 		srv:   s,
 		dbs:   map[string]*entry{},
 		jobs:  jobs.NewPrefixed(prefix, s.workers, s.queueCap),
-		store: s.cache.NewStore(),
+		store: lattice.NewStore(s.cacheBudget),
 		pipe: engine.Pipeline{
 			CompressWorkers: s.compressWorkers,
 			MineWorkers:     s.mineWorkers,
 			Observer:        s.met,
-			CacheRungs:      s.cache.Rungs,
 		},
 	}
 	s.shard = sh
@@ -391,10 +382,8 @@ func Open(opts ...Option) (*Server, error) {
 	s.reg.GaugeFunc(fmt.Sprintf("shard.%d.queue_depth", id), func() int64 { return int64(sh.jobs.Depth()) })
 	s.reg.GaugeFunc("jobs.queue_depth", func() int64 { return int64(sh.jobs.Depth()) })
 	s.reg.GaugeFunc("jobs.running", func() int64 { return int64(sh.jobs.Running()) })
-	if sh.store != nil {
-		s.reg.GaugeFunc("lattice_rungs", func() int64 { return int64(sh.store.Rungs()) })
-		s.reg.GaugeFunc("lattice_bytes", sh.store.Bytes)
-	}
+	s.reg.GaugeFunc("lattice_rungs", func() int64 { return int64(sh.store.Rungs()) })
+	s.reg.GaugeFunc("lattice_bytes", sh.store.Bytes)
 
 	if s.dataDir != "" {
 		if err := checkOwnedDataDir(s.dataDir, id); err != nil {
@@ -556,7 +545,7 @@ func (sh *engineShard) spillIfCold(e *entry, cutoff time.Time) {
 		set.patterns = nil
 	}
 	e.mu.Unlock()
-	if sh.store != nil && old != nil {
+	if old != nil {
 		sh.store.Invalidate(old)
 	}
 	sh.srv.met.storeEvictions.Inc()
@@ -609,11 +598,9 @@ func (sh *engineShard) hydrateLocked(e *entry) error {
 		}
 	}
 	e.resident = true
-	if sh.store != nil {
-		cache := sh.store.Cache(db)
-		for _, r := range rungs {
-			cache.Install(r.MinCount, r.Patterns)
-		}
+	cache := sh.store.Cache(db)
+	for _, r := range rungs {
+		cache.Install(r.MinCount, r.Patterns)
 	}
 	sh.srv.met.storeRehydrations.Inc()
 	return nil
@@ -767,12 +754,13 @@ type DBInfo struct {
 
 // ShardInfo describes one engine shard in GET /shards responses.
 type ShardInfo struct {
-	Shard        int   `json:"shard"`
-	DBs          int   `json:"dbs"`
-	QueueDepth   int   `json:"queue_depth"`
-	Running      int   `json:"running"`
-	LatticeRungs int   `json:"lattice_rungs,omitempty"`
-	LatticeBytes int64 `json:"lattice_bytes,omitempty"`
+	Shard      int `json:"shard"`
+	DBs        int `json:"dbs"`
+	QueueDepth int `json:"queue_depth"`
+	Running    int `json:"running"`
+	// Rungs/RungBytes describe the shard's resident threshold lattice.
+	Rungs     int   `json:"lattice_rungs,omitempty"`
+	RungBytes int64 `json:"lattice_bytes,omitempty"`
 	// StoreSegments/StoreBytes describe the shard's durable segment store;
 	// present only when the server runs with a data dir.
 	StoreSegments int   `json:"store_segments,omitempty"`
@@ -997,15 +985,13 @@ func (sh *engineShard) mine(ctx context.Context, e *entry, req MineRequest, min 
 
 	s.met.inFlight.Add(1)
 	defer s.met.inFlight.Add(-1)
-	var cache *lattice.Cache
-	if sh.store != nil {
-		cache = sh.store.Cache(p.db)
-	}
 	pipe := sh.pipe
+	pipe.Cache = sh.store.Cache(p.db)
 	var run engine.Run
 	switch {
 	case req.Use == "fresh":
-		// An explicit fresh mine bypasses every reuse path, lattice included.
+		// An explicit fresh mine bypasses every reuse path; the engine still
+		// installs its complete result as a rung for later requests.
 		run, err = pipe.Mine(ctx, p.db, min, nil)
 	case p.forceRecycle:
 		run, err = pipe.MineRecycling(ctx, p.db, p.prior.Patterns, min, nil)
@@ -1013,21 +999,10 @@ func (sh *engineShard) mine(ctx context.Context, e *entry, req MineRequest, min 
 	default:
 		// The lattice serves the round; the best saved set rides along as
 		// the fallback seed for a cold ladder.
-		pipe.Cache = cache
 		run, err = pipe.Serve(ctx, p.db, p.prior, min, nil)
 	}
 	if err != nil {
 		return nil, s.mineFailed(err)
-	}
-	if cache != nil && run.Cache == "" {
-		// Bypass paths did not consult the ladder, but their complete result
-		// is still worth materializing for later requests.
-		if installed, evicted := cache.Install(min, run.Patterns); installed {
-			s.met.OnCacheEvent(engine.CacheInstall, 1)
-			s.met.OnCacheEvent(engine.CacheEvict, evicted)
-			run.Installed = &engine.InstalledRung{MinCount: min, Patterns: run.Patterns}
-		}
-		run.Cache = string(lattice.Miss)
 	}
 	if run.CompressStats != nil {
 		s.met.ratio.Observe(run.CompressStats.Ratio)

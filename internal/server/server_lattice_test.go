@@ -122,34 +122,37 @@ func TestLatticeEndpoints(t *testing.T) {
 	}
 }
 
-func TestLatticeDisabled(t *testing.T) {
-	srv := server.New(server.WithLattice(false))
+// TestLatticeColdLadderReusesSavedSet: with the ladder dropped, a saved set
+// still seeds the round — a tightened mine filters it and reports the miss —
+// and a use=fresh mine, which bypasses every reuse path, still leaves its
+// result behind as a rung that the next plain mine hits.
+func TestLatticeColdLadderReusesSavedSet(t *testing.T) {
+	srv := server.New()
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	do(t, "PUT", ts.URL+"/db/paper", basket(t))
-	var r server.MineResponse
-	_, body := do(t, "POST", ts.URL+"/db/paper/mine", `{"min_count":3,"save_as":"r1"}`)
-	json.Unmarshal(body, &r)
-	if r.Cache != "" {
-		t.Fatalf("disabled lattice still reports cache = %+v", r)
+	do(t, "POST", ts.URL+"/db/paper/mine", `{"min_count":3,"save_as":"r1"}`)
+	if resp, _ := do(t, "DELETE", ts.URL+"/db/paper/lattice", ""); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("invalidate: %d", resp.StatusCode)
 	}
-	// Saved-set reuse keeps working without the lattice.
-	_, body = do(t, "POST", ts.URL+"/db/paper/mine", `{"min_count":4}`)
+	var r server.MineResponse
+	_, body := do(t, "POST", ts.URL+"/db/paper/mine", `{"min_count":4}`)
 	json.Unmarshal(body, &r)
-	if r.Source != "filtered" || r.BasedOn != "r1" || r.Cache != "" {
-		t.Fatalf("saved-set filter = %+v", r)
+	if r.Source != "filtered" || r.BasedOn != "r1" || r.Cache != "miss" {
+		t.Fatalf("saved-set filter on a cold ladder = %+v", r)
 	}
 
-	resp, body := do(t, "GET", ts.URL+"/db/paper/lattice", "")
-	var info server.LatticeInfo
-	json.Unmarshal(body, &info)
-	if resp.StatusCode != http.StatusOK || info.Enabled {
-		t.Fatalf("disabled lattice info = %+v (%d)", info, resp.StatusCode)
+	_, body = do(t, "POST", ts.URL+"/db/paper/mine", `{"min_count":2,"use":"fresh"}`)
+	json.Unmarshal(body, &r)
+	if r.Source != "fresh" || r.Cache != "miss" {
+		t.Fatalf("use=fresh mine = %+v", r)
 	}
-	if resp, _ := do(t, "DELETE", ts.URL+"/db/paper/lattice", ""); resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("disabled invalidate: %d", resp.StatusCode)
+	_, body = do(t, "POST", ts.URL+"/db/paper/mine", `{"min_count":2}`)
+	json.Unmarshal(body, &r)
+	if r.Source != "filtered" || r.BasedOn != "lattice-2" || r.Cache != "hit" {
+		t.Fatalf("plain mine after use=fresh = %+v, want a hit on its rung", r)
 	}
 }
 

@@ -167,7 +167,7 @@ func TestMultiShardLifecycle(t *testing.T) {
 			t.Fatalf("shard %d reports id %d", i, si.Shard)
 		}
 		total += si.DBs
-		rungs += si.LatticeRungs
+		rungs += si.Rungs
 	}
 	if total != n {
 		t.Fatalf("shards account %d databases, want %d", total, n)

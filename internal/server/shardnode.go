@@ -129,10 +129,8 @@ func (sh *engineShard) shardInfo() ShardInfo {
 		QueueDepth: sh.jobs.Depth(),
 		Running:    sh.jobs.Running(),
 	}
-	if sh.store != nil {
-		si.LatticeRungs = sh.store.Rungs()
-		si.LatticeBytes = sh.store.Bytes()
-	}
+	si.Rungs = sh.store.Rungs()
+	si.RungBytes = sh.store.Bytes()
 	if sh.disk != nil {
 		st := sh.disk.Stats()
 		si.StoreSegments = st.Segments
@@ -239,7 +237,7 @@ func (sh *engineShard) handlePut(w http.ResponseWriter, r *http.Request) {
 	e.mu.Unlock()
 	// The replaced database's ladder is unreachable (identity-keyed); drop
 	// it now instead of waiting for LRU aging to reclaim the budget.
-	if sh.store != nil && old != nil {
+	if old != nil {
 		sh.store.Invalidate(old)
 	}
 	if diskErr != nil {
@@ -294,7 +292,7 @@ func (sh *engineShard) handleDelete(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	e.mu.Unlock()
-	if sh.store != nil && old != nil {
+	if old != nil {
 		sh.store.Invalidate(old)
 	}
 	if diskErr != nil {
@@ -311,25 +309,21 @@ func (sh *engineShard) handleLatticeGet(w http.ResponseWriter, r *http.Request) 
 		fail(w, http.StatusNotFound, "no database %q", id)
 		return
 	}
-	info := LatticeInfo{ID: id, Shard: sh.id, Rungs: []lattice.RungInfo{}}
-	if sh.store != nil {
-		info.Enabled = true
-		info.BudgetBytes = sh.store.Budget()
-		info.StoreBytes = sh.store.Bytes()
-		e.mu.Lock()
-		// A cold stub's ladder lives on disk; hydrating re-installs it into
-		// the memory store so the inspection below sees it.
-		if err := sh.hydrateLocked(e); err != nil {
-			e.mu.Unlock()
-			fail(w, http.StatusInternalServerError, "hydrate: %v", err)
-			return
-		}
-		e.lastTouch = time.Now()
-		db := e.db
+	info := LatticeInfo{ID: id, Enabled: true, Shard: sh.id, Rungs: []lattice.RungInfo{},
+		BudgetBytes: sh.store.Budget(), StoreBytes: sh.store.Bytes()}
+	e.mu.Lock()
+	// A cold stub's ladder lives on disk; hydrating re-installs it into the
+	// memory store so the inspection below sees it.
+	if err := sh.hydrateLocked(e); err != nil {
 		e.mu.Unlock()
-		if rungs := sh.store.Cache(db).Rungs(); len(rungs) > 0 {
-			info.Rungs = rungs
-		}
+		fail(w, http.StatusInternalServerError, "hydrate: %v", err)
+		return
+	}
+	e.lastTouch = time.Now()
+	db := e.db
+	e.mu.Unlock()
+	if rungs := sh.store.Cache(db).Rungs(); len(rungs) > 0 {
+		info.Rungs = rungs
 	}
 	writeJSON(w, http.StatusOK, info)
 }
@@ -350,7 +344,7 @@ func (sh *engineShard) handleLatticeDelete(w http.ResponseWriter, r *http.Reques
 		diskErr = sh.disk.DropRungs(id)
 	}
 	e.mu.Unlock()
-	if sh.store != nil && db != nil {
+	if db != nil {
 		sh.store.Invalidate(db)
 	}
 	if diskErr != nil && !errors.Is(diskErr, store.ErrNotFound) {

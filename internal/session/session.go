@@ -62,7 +62,6 @@ type Round struct {
 type Session struct {
 	db     *dataset.DB
 	pipe   engine.Pipeline
-	cache  engine.CacheConfig
 	rounds []Round
 }
 
@@ -96,18 +95,13 @@ func WithMineWorkers(n int) Option { return func(se *Session) { se.pipe.MineWork
 // the process-wide shared pattern cache keyed by the session's database, so
 // concurrent sessions over the same *dataset.DB share one ladder — the
 // paper's multi-user scenario without shipping pattern sets by hand.
-func WithLattice(on bool) Option { return func(se *Session) { engine.WithLattice(on)(&se.cache) } }
-
-// WithLatticeRungs sets the lattice install grid of relative thresholds
-// (see engine.CacheConfig.Rungs). It does not itself enable the lattice.
-func WithLatticeRungs(rungs []float64) Option {
-	return func(se *Session) { engine.WithLatticeRungs(rungs)(&se.cache) }
-}
-
-// WithCacheBudget caps the shared lattice store's resident bytes. It does
-// not itself enable the lattice.
-func WithCacheBudget(bytes int64) Option {
-	return func(se *Session) { engine.WithCacheBudget(bytes)(&se.cache) }
+func WithLattice(on bool) Option {
+	return func(se *Session) {
+		se.pipe.Cache = nil
+		if on {
+			se.pipe.Cache = engine.SharedStore().Cache(se.db)
+		}
+	}
 }
 
 // New starts a session over db.
@@ -116,7 +110,6 @@ func New(db *dataset.DB, opts ...Option) *Session {
 	for _, o := range opts {
 		o(s)
 	}
-	s.cache.Attach(&s.pipe, db)
 	return s
 }
 

@@ -43,12 +43,11 @@ type Options struct {
 	// for Mine, and between consecutive cascade steps for Progressive and
 	// TopK (default 4, minimum 2).
 	Factor int
-	// Cache configures the materialized threshold lattice (shared engine
-	// option struct; off by default). When enabled, cascade rounds are
-	// served from and installed into the process-wide ladder keyed by the
-	// database, so repeated two-step tasks over one database skip the rounds
-	// a previous task already materialized.
-	Cache engine.CacheConfig
+	// Lattice serves cascade rounds from, and installs them into, the
+	// process-wide threshold ladder keyed by the database (off by default),
+	// so repeated two-step tasks over one database skip the rounds a
+	// previous task already materialized.
+	Lattice bool
 }
 
 func (o Options) factor() int {
@@ -67,7 +66,9 @@ func (o Options) pipeline(db *dataset.DB) engine.Pipeline {
 		name = "rp-naive"
 	}
 	p := engine.Pipeline{Recycled: name, Strategy: o.Strategy}
-	o.Cache.Attach(&p, db)
+	if o.Lattice {
+		p.Cache = engine.SharedStore().Cache(db)
+	}
 	return p
 }
 

@@ -15,7 +15,7 @@ import (
 func TestMineWithLattice(t *testing.T) {
 	db := testutil.PaperDB()
 	o := opts()
-	o.Cache = engine.CacheConfig{Enabled: true}
+	o.Lattice = true
 
 	for rep := 0; rep < 2; rep++ {
 		var col mining.Collector
@@ -49,7 +49,7 @@ func TestMineWithLattice(t *testing.T) {
 func TestProgressiveAndTopKWithLattice(t *testing.T) {
 	db := testutil.PaperDB()
 	o := opts()
-	o.Cache = engine.CacheConfig{Enabled: true}
+	o.Lattice = true
 
 	var col mining.Collector
 	if err := twostep.Progressive(db, 2, o, &col); err != nil {
