@@ -1,6 +1,5 @@
 // Command rpbench runs the repository's performance benchmark grid and
-// writes the BENCH_compress.json / BENCH_mine.json / BENCH_pipeline.json /
-// BENCH_lattice.json baselines.
+// writes the BENCH_compress.json / BENCH_mine.json baselines.
 //
 // The compress experiment measures phase one of recycling — the naive
 // serial scan, the indexed serial engine, and the sharded parallel engine —
@@ -11,11 +10,7 @@
 // rp-treeproj) over the precompressed database serially and across a
 // worker-count grid through the registry's derived par-* variants, reporting
 // each parallel row's speedup against its own miner's serial row. The
-// pipeline experiment runs the full two-phase pipeline through
-// engine.Pipeline and records the per-phase timings its PhaseObserver hook
-// reports. The lattice experiment serves a Zipf-distributed threshold stream
-// with and without the materialized threshold lattice and records the
-// steady-state speedup, cache-hit count, and mine-phase count.
+// service's end-to-end benchmark is perfbench/ (see perfbench/README.md).
 //
 // Every experiment runs once per point of a GOMAXPROCS grid (default
 // 1, 4 and NumCPU, deduplicated) and each entry embeds the gomaxprocs it
@@ -120,8 +115,6 @@ func main() {
 	}{
 		{"BENCH_compress.json", bench.CompressPerf},
 		{"BENCH_mine.json", bench.MinePerf},
-		{"BENCH_pipeline.json", bench.PipelinePerf},
-		{"BENCH_lattice.json", bench.LatticePerf},
 	} {
 		var merged bench.PerfReport
 		for i, g := range grid {

@@ -9,6 +9,7 @@ import (
 	"gogreen/internal/core"
 	"gogreen/internal/mining"
 	"gogreen/internal/parallel"
+	"gogreen/internal/rphmine"
 )
 
 func init() {
@@ -36,6 +37,7 @@ func runParallel(cfg Config, w io.Writer) error {
 		xi := spec.Sweep[len(spec.Sweep)/2]
 		min := MinCountAt(db.Len(), xi)
 		for _, workers := range workerSweep {
+			recycled := parallel.Wrap(rphmine.New(), workers)
 			var n1, n2 mining.Count
 			base := Timed(func() {
 				n1 = mining.Count{}
@@ -45,7 +47,7 @@ func runParallel(cfg Config, w io.Writer) error {
 			})
 			rec := Timed(func() {
 				n2 = mining.Count{}
-				if err := (parallel.CDBMiner{Workers: workers}).MineCDB(cdb, min, &n2); err != nil {
+				if err := recycled.MineCDB(cdb, min, &n2); err != nil {
 					panic(err)
 				}
 			})

@@ -12,7 +12,6 @@ import (
 	"runtime"
 	"sort"
 	"testing"
-	"time"
 
 	"gogreen/internal/core"
 	"gogreen/internal/dataset"
@@ -44,14 +43,6 @@ type PerfEntry struct {
 	// SpeedupVsSerial is serial-baseline ns_per_op divided by this entry's
 	// ns_per_op; the baseline row itself reports 1.
 	SpeedupVsSerial float64 `json:"speedup_vs_serial,omitempty"`
-	// CacheHits / CacheMiss count lattice events in the measured window
-	// (lattice experiment only).
-	CacheHits int64 `json:"cache_hits,omitempty"`
-	CacheMiss int64 `json:"cache_misses,omitempty"`
-	// MinePhases counts mining-phase invocations in the measured window
-	// (lattice experiment only). A pointer so the steady-state lattice row
-	// can record the explicit zero that proves pure-filter serving.
-	MinePhases *int64 `json:"mine_phase_invocations,omitempty"`
 }
 
 // PerfReport is the schema of a BENCH_*.json file.
@@ -334,81 +325,6 @@ func MinePerf(cfg Config, quick bool) (PerfReport, error) {
 				return rep, err
 			}
 			rep.Entries = append(rep.Entries, e)
-		}
-	}
-	return rep, nil
-}
-
-// PipelinePerf measures the full recycling pipeline — compression plus
-// mining — through engine.Pipeline on the Connect-4 preset, one run per
-// wrappable recycled engine, serial and with a parallel mining phase. The
-// per-phase rows come straight from the pipeline's PhaseObserver hook (the
-// same hook the server binds to its metrics histograms), so the report
-// records exactly what the pipeline observed; each parallel total row
-// reports its speedup against the same engine's serial total.
-func PipelinePerf(cfg Config, quick bool) (PerfReport, error) {
-	rep := newReport("pipeline", cfg, quick)
-	scale := cfg.Scale
-	if quick {
-		scale = minScale(scale, 0.005)
-	}
-	spec := SpecByName("connect4")
-	db := gen.Connect4(scale)
-	xiNew := spec.Sweep[0]
-	min := MinCountAt(db.Len(), xiNew)
-
-	seeder := engine.Pipeline{}
-	seed, err := seeder.Mine(context.Background(), db, MinCountAt(db.Len(), spec.XiOld), nil)
-	if err != nil {
-		return rep, err
-	}
-	fp := seed.Patterns
-
-	for _, d := range engine.Descriptors() {
-		if d.Kind != engine.Recycled || d.Base != "" || !d.Encoded {
-			continue
-		}
-		var serialNs float64
-		for _, workers := range []int{0, -1} { // serial, then GOMAXPROCS
-			var phases []PerfEntry
-			obs := engine.ObserverFunc(func(ph engine.Phase, algo string, dur time.Duration) {
-				e := PerfEntry{
-					Experiment: "pipeline",
-					Dataset:    spec.Name,
-					Variant:    fmt.Sprintf("%s/%s", algo, ph),
-					GOMAXPROCS: runtime.GOMAXPROCS(0),
-					NsPerOp:    float64(dur.Nanoseconds()),
-					Patterns:   len(fp),
-				}
-				if workers != 0 {
-					e.Workers = runtime.GOMAXPROCS(0)
-				}
-				phases = append(phases, e)
-			})
-			p := engine.Pipeline{Recycled: d.Name, MineWorkers: workers, Observer: obs}
-			var c mining.Count
-			run, err := p.MineRecycling(context.Background(), db, fp, min, &c)
-			if err != nil {
-				return rep, err
-			}
-			total := PerfEntry{
-				Experiment:       "pipeline",
-				Dataset:          spec.Name,
-				Variant:          run.Algo + "/total",
-				GOMAXPROCS:       runtime.GOMAXPROCS(0),
-				NsPerOp:          float64(run.Elapsed.Nanoseconds()),
-				Patterns:         len(fp),
-				CompressionRatio: run.CompressStats.Ratio,
-			}
-			if workers != 0 {
-				total.Workers = runtime.GOMAXPROCS(0)
-			}
-			if serialNs == 0 {
-				serialNs = total.NsPerOp
-			}
-			total.SpeedupVsSerial = serialNs / total.NsPerOp
-			rep.Entries = append(rep.Entries, phases...)
-			rep.Entries = append(rep.Entries, total)
 		}
 	}
 	return rep, nil

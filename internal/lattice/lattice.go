@@ -119,14 +119,6 @@ func (s *Store) unlinkLocked(r *rung) {
 	r.prev, r.next = nil, nil
 }
 
-// SetBudget replaces the byte budget and evicts down to it.
-func (s *Store) SetBudget(n int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.budget = n
-	s.evictLocked(nil)
-}
-
 // Budget returns the configured byte budget.
 func (s *Store) Budget() int64 {
 	s.mu.Lock()

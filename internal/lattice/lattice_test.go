@@ -85,13 +85,15 @@ func TestTwoHandlesShareLadder(t *testing.T) {
 		t.Fatalf("hits = %d, want 2 (one per handle)", infos[0].Hits)
 	}
 
-	// Same scenario via eviction: h3 installs, budget squeeze drops the
-	// ladder and the registration, h4 reinstalls; h3 must follow.
-	s2 := NewStore(1 << 20)
+	// Same scenario via eviction: the budget fits one rung, so h3's install
+	// is evicted by an install into another key, which drops the ladder and
+	// the registration; h4 reinstalls and h3 must follow.
+	s2 := NewStore(memlimit.EstimatePatternBytes(fpAt(2)))
 	h3 := s2.Cache("db")
 	h3.Install(3, fpAt(3))
-	s2.SetBudget(0) // evict everything; "db" dropped from the key map
-	s2.SetBudget(1 << 20)
+	if _, evicted := s2.Cache("other").Install(3, fpAt(3)); evicted != 1 {
+		t.Fatalf("install into other key evicted %d rungs, want 1", evicted)
+	}
 	h4 := s2.Cache("db")
 	if h4 == h3 {
 		t.Fatal("expected a fresh handle after full eviction")
@@ -246,20 +248,6 @@ func TestIdentityKeyDroppedWhenEmpty(t *testing.T) {
 	s.mu.Unlock()
 	if pinned {
 		t.Fatal("emptied identity-keyed cache still pinned in the store")
-	}
-}
-
-func TestSetBudgetEvicts(t *testing.T) {
-	one := fpAt(1)
-	size := memlimit.EstimatePatternBytes(one)
-	s := NewStore(3 * size)
-	c := s.Cache("db")
-	for _, m := range []int{2, 4, 6} {
-		c.Install(m, one)
-	}
-	s.SetBudget(size)
-	if s.Rungs() != 1 || s.Bytes() != size {
-		t.Fatalf("after budget cut: %d rungs, %d bytes", s.Rungs(), s.Bytes())
 	}
 }
 

@@ -134,14 +134,14 @@ func (m *refStore) rungs() int {
 func TestLRUMatchesClockScan(t *testing.T) {
 	keys := []string{"a", "b", "c", "d"}
 	size := memlimit.EstimatePatternBytes(fpAt(1))
-	budgets := []int64{0, size, 2 * size, 3 * size, 5 * size}
+	budgets := []int64{2 * size, 3 * size, 5 * size}
 	oversized := make([]mining.Pattern, 0, 64)
 	for i := 0; i < 4; i++ {
 		oversized = append(oversized, fpAt(1)...)
 	}
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		budget := budgets[2+rng.Intn(3)]
+		budget := budgets[rng.Intn(len(budgets))]
 		s := NewStore(budget)
 		m := &refStore{budget: budget, ladders: map[string][]*refRung{}}
 		handles := map[string][]*Cache{}
@@ -194,17 +194,11 @@ func TestLRUMatchesClockScan(t *testing.T) {
 				op = fmt.Sprintf("Cache.Invalidate(%s)", key)
 				handle(key).Invalidate()
 				m.invalidate(key)
-			case p < 96:
+			default:
 				op = "Reset"
 				s.Reset()
 				m.ladders = map[string][]*refRung{}
 				m.bytes = 0
-			default:
-				b := budgets[rng.Intn(len(budgets))]
-				op = fmt.Sprintf("SetBudget(%d)", b)
-				s.SetBudget(b)
-				m.budget = b
-				m.evict(nil)
 			}
 			if s.Bytes() != m.bytes || s.Rungs() != m.rungs() {
 				t.Fatalf("seed %d step %d after %s: store %d bytes / %d rungs, model %d / %d",

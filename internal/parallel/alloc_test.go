@@ -125,7 +125,7 @@ func TestOneWorkerDispatchAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			wrapped := CDBMiner{Workers: 1, Engine: eng}
+			wrapped := cdbMiner{workers: 1, engine: eng}
 			par := testing.AllocsPerRun(20, func() {
 				if err := wrapped.MineCDB(cdb, min, &count); err != nil {
 					t.Fatal(err)

@@ -85,7 +85,7 @@ func TestParallelDifferentialPresets(t *testing.T) {
 					t.Fatalf("serial %s disagrees with hmine: %v", eng.Name(), serial.Diff(truth, 8))
 				}
 				for _, w := range workerGrid() {
-					wrapped := parallel.CDBMiner{Workers: w, Engine: eng}
+					wrapped := parallel.Wrap(eng, w)
 					got := testutil.MineSet(t,
 						engine.NewRecycler(fp, core.MCP, wrapped), tc.db, mineMin)
 					if !got.Equal(serial) {
@@ -107,9 +107,6 @@ func TestParallelWrapperNames(t *testing.T) {
 		if !want[wrapped.Name()] {
 			t.Errorf("Wrap(%s).Name() = %q", eng.Name(), wrapped.Name())
 		}
-	}
-	if got := (parallel.CDBMiner{}).Name(); got != "par-rp-hmine" {
-		t.Errorf("default CDBMiner name = %q, want par-rp-hmine", got)
 	}
 	naive := core.Naive{}
 	if wrapped := parallel.Wrap(naive, 2); wrapped != core.CDBMiner(naive) {
@@ -150,11 +147,11 @@ func TestParallelCancelMidMine(t *testing.T) {
 		},
 	}}
 	for _, eng := range engines() {
-		w := parallel.CDBMiner{Workers: 2, Engine: eng}
+		w := parallel.Wrap(eng, 2)
 		wrappers = append(wrappers, wrapper{
 			name: w.Name(),
 			mine: func(ctx context.Context, sink mining.Sink) error {
-				return w.MineCDBContext(ctx, cdb, 1, sink)
+				return core.MineCDBContext(ctx, w, cdb, 1, sink)
 			},
 		})
 	}
@@ -257,7 +254,7 @@ func TestParallelSinkCopyContract(t *testing.T) {
 			},
 		})
 		for _, eng := range engines() {
-			pw := parallel.CDBMiner{Workers: w, Engine: eng}
+			pw := parallel.Wrap(eng, w)
 			wrappers = append(wrappers, wrapper{
 				name: fmt.Sprintf("%s-%dw", pw.Name(), w),
 				mine: func(sink mining.Sink) error { return pw.MineCDB(cdb, 1, sink) },

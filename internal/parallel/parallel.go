@@ -41,7 +41,6 @@ import (
 	"gogreen/internal/dataset"
 	"gogreen/internal/hmine"
 	"gogreen/internal/mining"
-	"gogreen/internal/rphmine"
 )
 
 // splitFactor decides when per-item tasks are too coarse: with fewer than
@@ -282,52 +281,43 @@ type workerState struct {
 	batch   batchSink
 }
 
-// CDBMiner mines compressed databases by fanning independent top-level
-// subtrees out to worker goroutines, each mined by Engine.
-type CDBMiner struct {
-	// Workers is the goroutine count; 0 means GOMAXPROCS.
-	Workers int
-	// Engine mines the per-task projections; nil means Recycle-HM.
-	Engine EncodedCDBMiner
+// cdbMiner mines compressed databases by fanning independent top-level
+// subtrees out to worker goroutines, each mined by engine.
+type cdbMiner struct {
+	workers int // goroutine count; 0 means GOMAXPROCS
+	engine  EncodedCDBMiner
 }
 
 // Wrap returns a parallel wrapper around engine when it supports encoded
-// projections, or engine unchanged otherwise (e.g. rp-naive). Workers
-// follows CDBMiner semantics: 0 means GOMAXPROCS.
+// projections, or engine unchanged otherwise (e.g. rp-naive). Workers is
+// the goroutine count; 0 means GOMAXPROCS.
 func Wrap(engine core.CDBMiner, workers int) core.CDBMiner {
 	if e, ok := engine.(EncodedCDBMiner); ok {
-		return CDBMiner{Workers: workers, Engine: e}
+		return cdbMiner{workers: workers, engine: e}
 	}
 	return engine
 }
 
-func (m CDBMiner) engine() EncodedCDBMiner {
-	if m.Engine == nil {
-		return rphmine.New()
-	}
-	return m.Engine
-}
-
 // Name implements core.CDBMiner.
-func (m CDBMiner) Name() string { return "par-" + m.engine().Name() }
+func (m cdbMiner) Name() string { return "par-" + m.engine.Name() }
 
 // MineCDB implements core.CDBMiner.
-func (m CDBMiner) MineCDB(cdb *core.CDB, minCount int, sink mining.Sink) error {
+func (m cdbMiner) MineCDB(cdb *core.CDB, minCount int, sink mining.Sink) error {
 	return m.mineCDB(context.Background(), cdb, minCount, sink)
 }
 
 // MineCDBContext implements core.ContextCDBMiner: like MineCDB, but the
 // pool stops dispatching and in-flight workers abort promptly when ctx is
 // cancelled or times out, returning the context's error.
-func (m CDBMiner) MineCDBContext(ctx context.Context, cdb *core.CDB, minCount int, sink mining.Sink) error {
+func (m cdbMiner) MineCDBContext(ctx context.Context, cdb *core.CDB, minCount int, sink mining.Sink) error {
 	return m.mineCDB(ctx, cdb, minCount, sink)
 }
 
-func (m CDBMiner) mineCDB(ctx context.Context, cdb *core.CDB, minCount int, sink mining.Sink) error {
+func (m cdbMiner) mineCDB(ctx context.Context, cdb *core.CDB, minCount int, sink mining.Sink) error {
 	if minCount < 1 {
 		return mining.ErrBadMinSupport
 	}
-	eng := m.engine()
+	eng := m.engine
 	flist := cdb.FList(minCount)
 	if flist.Len() == 0 {
 		return nil
@@ -336,7 +326,7 @@ func (m CDBMiner) mineCDB(ctx context.Context, cdb *core.CDB, minCount int, sink
 	safe := &lockedSink{sink: sink}
 
 	n := flist.Len()
-	workers := resolveWorkers(m.Workers, n)
+	workers := resolveWorkers(m.workers, n)
 	split := n < splitFactor*workers
 
 	pooled, _ := eng.(PooledEncodedMiner)

@@ -9,6 +9,7 @@ import (
 	"gogreen/internal/engine"
 	"gogreen/internal/mining"
 	"gogreen/internal/parallel"
+	"gogreen/internal/rphmine"
 	"gogreen/internal/testutil"
 )
 
@@ -30,7 +31,7 @@ func TestParallelCDBMatchesOracle(t *testing.T) {
 		db := testutil.RandomDB(r, 40+r.Intn(100), 6+r.Intn(12), 2+r.Intn(9))
 		fp := testutil.Oracle(t, db, 5).Slice()
 		for _, workers := range []int{0, 1, 3} {
-			rec := engine.NewRecycler(fp, core.MCP, parallel.CDBMiner{Workers: workers})
+			rec := engine.NewRecycler(fp, core.MCP, parallel.Wrap(rphmine.New(), workers))
 			testutil.CheckAgainstOracle(t, rec, db, 2)
 		}
 	}
@@ -51,10 +52,10 @@ func TestParallelEdgeCases(t *testing.T) {
 		t.Errorf("empty db: %v", err)
 	}
 	cdb := core.Compress(dataset.New(nil), nil, core.MCP)
-	if err := (parallel.CDBMiner{}).MineCDB(cdb, 0, sink); err != mining.ErrBadMinSupport {
+	if err := parallel.Wrap(rphmine.New(), 0).MineCDB(cdb, 0, sink); err != mining.ErrBadMinSupport {
 		t.Errorf("got %v", err)
 	}
-	if err := (parallel.CDBMiner{}).MineCDB(cdb, 1, sink); err != nil {
+	if err := parallel.Wrap(rphmine.New(), 0).MineCDB(cdb, 1, sink); err != nil {
 		t.Errorf("empty cdb: %v", err)
 	}
 }

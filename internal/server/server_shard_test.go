@@ -32,21 +32,28 @@ func newServer(t *testing.T, opts ...server.Option) (*server.Server, *httptest.S
 // doAs is do with a tenant header.
 func doAs(t *testing.T, tenant, method, url string, body string) (*http.Response, []byte) {
 	t.Helper()
-	req, err := http.NewRequest(method, url, strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set(server.TenantHeader, tenant)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	out, err := io.ReadAll(resp.Body)
+	resp, out, err := requestAs(tenant, method, url, body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return resp, out
+}
+
+// requestAs is doAs returning its error, for goroutines other than the
+// test's own, which must not call t.Fatal.
+func requestAs(tenant, method, url string, body string) (*http.Response, []byte, error) {
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		return nil, nil, err
+	}
+	req.Header.Set(server.TenantHeader, tenant)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	return resp, out, err
 }
 
 // quotaBody decodes the structured 429 body of an admission rejection.
@@ -220,6 +227,77 @@ func TestTenantQuotaDBs(t *testing.T) {
 	}
 	if n := srv.Registry().Counter("tenant_rejected." + shard.ResourceDBs).Value(); n != 1 {
 		t.Fatalf("tenant_rejected.dbs = %d, want 1", n)
+	}
+}
+
+// TestTenantQuotaAbuserUnderLoad proves admission control isolates tenants
+// under concurrency: one tenant PUTs 40 times its database quota while
+// in-quota tenants mine. Exactly the quota is admitted, every other PUT gets
+// the documented 429, and no in-quota mine fails.
+func TestTenantQuotaAbuserUnderLoad(t *testing.T) {
+	const maxDBs, attempts = 4, 160
+	srv, ts := newServer(t, server.WithQuotas(shard.Quotas{MaxDBs: maxDBs}))
+	tenants := []string{"t0", "t1", "t2", "t3"}
+	for _, tn := range tenants {
+		if resp, body := doAs(t, tn, "PUT", ts.URL+"/db/"+tn, basket(t)); resp.StatusCode != http.StatusCreated {
+			t.Fatalf("put %s: %d %s", tn, resp.StatusCode, body)
+		}
+	}
+
+	done := make(chan struct{})
+	errs := make(chan string, len(tenants))
+	var wg sync.WaitGroup
+	for _, tn := range tenants {
+		wg.Add(1)
+		go func(tn string) {
+			defer wg.Done()
+			// Mine until the abuser is done, and at least a few times.
+			for k := 0; ; k++ {
+				select {
+				case <-done:
+					if k >= 5 {
+						return
+					}
+				default:
+				}
+				req := fmt.Sprintf(`{"min_count":%d}`, 1+k%3)
+				resp, body, err := requestAs(tn, "POST", ts.URL+"/db/"+tn+"/mine", req)
+				if err != nil {
+					errs <- fmt.Sprintf("%s mine %d: %v", tn, k, err)
+					return
+				}
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Sprintf("%s mine %d: %d %s", tn, k, resp.StatusCode, body)
+					return
+				}
+			}
+		}(tn)
+	}
+
+	// Deferred too, so a Fatal below does not leave the miners running
+	// against a closed server.
+	stopMiners := sync.OnceFunc(func() { close(done); wg.Wait() })
+	defer stopMiners()
+	admitted := 0
+	for i := 0; i < attempts; i++ {
+		resp, body := doAs(t, "abuser", "PUT", fmt.Sprintf("%s/db/abuser-%d", ts.URL, i), basket(t))
+		if resp.StatusCode == http.StatusCreated {
+			admitted++
+			continue
+		}
+		requireQuota429(t, resp, body, "abuser", shard.ResourceDBs)
+	}
+	stopMiners()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+
+	if admitted != maxDBs {
+		t.Fatalf("abuser admitted %d databases, want %d", admitted, maxDBs)
+	}
+	if n := srv.Registry().Counter("tenant_rejected_total").Value(); n != attempts-maxDBs {
+		t.Fatalf("tenant_rejected_total = %d, want %d", n, attempts-maxDBs)
 	}
 }
 
