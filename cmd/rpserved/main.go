@@ -16,14 +16,17 @@
 //
 // A shard process is a complete single-shard server that mints ids for its
 // ring position ("s<i>-" job prefixes, shard i in /shards and lattice
-// responses); -shard-addrs must list the shards in -shard-index order. The
-// router forwards routed requests byte-for-byte (X-Tenant, quota 429s with
-// Retry-After, job-id prefixes all preserved), aggregates the listing
-// endpoints, and probes each shard's GET /healthz every -probe-interval: a
-// shard failing -probe-failures consecutive probes is ejected — its requests
-// answer 503 with code "shard_unavailable" and shard_unhealthy_total
-// increments — and rejoins on the next passing probe. Per-tenant quotas are
-// enforced by each shard process from its own flags.
+// responses); -shard-addrs must list the shards in -shard-index order, and
+// that ring is fixed for the router's lifetime. The router forwards routed
+// requests byte-for-byte (X-Tenant, quota 429s with Retry-After, job-id
+// prefixes all preserved), aggregates the listing endpoints, and probes each
+// shard's GET /healthz every -probe-interval. A probe passes only when the
+// shard reports the -shard-index of its position in -shard-addrs, so a
+// misordered list fails it: a shard failing -probe-failures consecutive
+// probes is ejected — its requests answer 503 with code "shard_unavailable"
+// and shard_unhealthy_total increments — and rejoins on the next passing
+// probe. Per-tenant quotas are enforced by each shard process from its own
+// flags.
 //
 // Tenants identify themselves with the X-Tenant request header;
 // -tenant-max-dbs, -tenant-max-jobs, and -tenant-max-pattern-mb bound what

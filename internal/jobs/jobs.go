@@ -118,16 +118,12 @@ type Manager struct {
 }
 
 // New starts a manager with the given worker count and queue capacity
-// (both forced to at least 1). Completed jobs are retained for polling;
-// once more than retain (default 1024) jobs exist, the oldest finished
-// ones are evicted.
-func New(workers, queueCap int) *Manager { return NewPrefixed("", workers, queueCap) }
-
-// NewPrefixed is New with a job-id prefix: ids become "<prefix>j<seq>".
-// Callers running several managers side by side (one per engine shard) give
-// each a distinct prefix so ids stay globally unique and self-describing; an
-// empty prefix keeps the classic "j<seq>" form.
-func NewPrefixed(prefix string, workers, queueCap int) *Manager {
+// (both forced to at least 1). Job ids are "<prefix>j<seq>": a shard process
+// passes its ring position ("s<i>-") so a router can route ids back to it,
+// and an empty prefix keeps the classic "j<seq>" form. Completed jobs are
+// retained for polling; once more than retain (default 1024) jobs exist,
+// the oldest finished ones are evicted.
+func New(prefix string, workers, queueCap int) *Manager {
 	if workers < 1 {
 		workers = 1
 	}
@@ -229,8 +225,8 @@ func (m *Manager) List() []Snapshot {
 
 // Cancel cancels the job by id: a queued job is marked cancelled and skipped
 // by workers, a running job has its context cancelled (the job reaches a
-// terminal state when its Fn returns). Cancel reports whether the job exists;
-// cancelling a terminal job is a no-op.
+// terminal state when its Fn returns). Cancel reports whether it cancelled
+// a queued or running job; an unknown id or a terminal job reports false.
 func (m *Manager) Cancel(id string) bool {
 	j, ok := m.Get(id)
 	if !ok {
@@ -238,7 +234,7 @@ func (m *Manager) Cancel(id string) bool {
 	}
 	// Lock order is m.mu -> j.mu everywhere (Submit holds m.mu and takes j.mu
 	// via evictLocked), so m.queued must be updated after releasing j.mu.
-	wasQueued := false
+	wasQueued, cancelled := false, false
 	j.mu.Lock()
 	switch j.status {
 	case StatusQueued:
@@ -246,9 +242,14 @@ func (m *Manager) Cancel(id string) bool {
 		j.err = context.Canceled
 		j.finished = time.Now()
 		close(j.done)
-		wasQueued = true
+		wasQueued, cancelled = true, true
 	case StatusRunning:
-		j.cancel(context.Canceled)
+		// Only the first cancel delivers; a repeat while Fn unwinds is a
+		// no-op.
+		if j.cancel != nil {
+			j.cancel(context.Canceled)
+			j.cancel, cancelled = nil, true
+		}
 	}
 	j.mu.Unlock()
 	if wasQueued {
@@ -256,7 +257,7 @@ func (m *Manager) Cancel(id string) bool {
 		m.queued--
 		m.mu.Unlock()
 	}
-	return true
+	return cancelled
 }
 
 // Depth returns the number of queued (not yet running) jobs.

@@ -21,7 +21,7 @@ func wait(t *testing.T, j *Job) Snapshot {
 }
 
 func TestSubmitRun(t *testing.T) {
-	m := New(2, 4)
+	m := New("", 2, 4)
 	defer m.Shutdown(context.Background())
 	j, err := m.Submit(func(context.Context) (any, error) { return 41 + 1, nil })
 	if err != nil {
@@ -38,7 +38,7 @@ func TestSubmitRun(t *testing.T) {
 }
 
 func TestQueueFullAndDepth(t *testing.T) {
-	m := New(1, 1)
+	m := New("", 1, 1)
 	defer m.Shutdown(context.Background())
 	release := make(chan struct{})
 	blocker, err := m.Submit(func(ctx context.Context) (any, error) { <-release; return nil, nil })
@@ -72,7 +72,7 @@ func TestQueueFullAndDepth(t *testing.T) {
 }
 
 func TestCancelQueuedAndRunning(t *testing.T) {
-	m := New(1, 2)
+	m := New("", 1, 2)
 	defer m.Shutdown(context.Background())
 	started := make(chan struct{})
 	running, _ := m.Submit(func(ctx context.Context) (any, error) {
@@ -98,9 +98,9 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 	if m.Cancel("nope") {
 		t.Fatal("cancel of unknown job returned true")
 	}
-	// Cancelling a terminal job is a harmless no-op.
-	if !m.Cancel(running.ID()) {
-		t.Fatal("re-cancel returned false")
+	// Cancelling a terminal job is a harmless no-op, and says so.
+	if m.Cancel(running.ID()) {
+		t.Fatal("re-cancel of a terminal job reported a cancellation")
 	}
 }
 
@@ -109,7 +109,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 // j.mu -> m.mu acquisition inside Cancel deadlocks this test; run under
 // -race and -timeout it is the regression guard for the lock order.
 func TestCancelDuringEviction(t *testing.T) {
-	m := New(2, 64)
+	m := New("", 2, 64)
 	m.retain = 4 // evict on nearly every Submit
 	defer m.Shutdown(context.Background())
 
@@ -143,7 +143,7 @@ func TestCancelDuringEviction(t *testing.T) {
 // TestSnapshotOmitsZeroTimes checks that a queued job's JSON has no
 // started/finished fields and that they appear once set.
 func TestSnapshotOmitsZeroTimes(t *testing.T) {
-	m := New(1, 2)
+	m := New("", 1, 2)
 	defer m.Shutdown(context.Background())
 	release := make(chan struct{})
 	blocker, err := m.Submit(func(ctx context.Context) (any, error) { <-release; return nil, nil })
@@ -176,7 +176,7 @@ func TestSnapshotOmitsZeroTimes(t *testing.T) {
 }
 
 func TestShutdownDrains(t *testing.T) {
-	m := New(2, 8)
+	m := New("", 2, 8)
 	var done int
 	ch := make(chan struct{}, 8)
 	for i := 0; i < 6; i++ {
@@ -202,7 +202,7 @@ func TestShutdownDrains(t *testing.T) {
 }
 
 func TestShutdownDeadlineCancelsRunning(t *testing.T) {
-	m := New(1, 1)
+	m := New("", 1, 1)
 	j, _ := m.Submit(func(ctx context.Context) (any, error) {
 		<-ctx.Done()
 		return nil, ctx.Err()

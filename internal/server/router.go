@@ -1,10 +1,12 @@
 // The request router: the one component that knows the ring. It fronts
 // shard processes (`rpserved -role router`) and owns request placement
 // (consistent hashing on database id, job-id prefix parsing), cross-shard
-// aggregation (GET /db, /jobs, /shards), shard health (periodic /healthz
-// probes with consecutive-failure ejection) and ring changes (in-flight
-// requests to a departing shard drain before its backend closes). Requests
-// reach the shards as forwarded HTTP through shard.Remote.
+// aggregation (GET /db, /jobs, /shards) and shard health (periodic /healthz
+// probes that also check each shard's ring position, with
+// consecutive-failure ejection). The ring is fixed when the router is built:
+// nothing migrates stored databases between positions, so a ring change
+// would turn existing ids into 404s. Requests reach the shards as forwarded
+// HTTP through shard.Remote.
 package server
 
 import (
@@ -36,10 +38,7 @@ type Router struct {
 	ejections *metrics.Counter
 	recovered *metrics.Counter
 
-	// mu guards the ring/backends pair. Forwarders take the in-flight hold
-	// under the read lock, so SetShardAddrs (write lock, then Wait) can
-	// never observe a hold appearing after its drain barrier started.
-	mu       sync.RWMutex
+	// ring and backends are fixed at construction.
 	ring     *shard.Ring
 	backends []*backendState
 
@@ -49,20 +48,15 @@ type Router struct {
 }
 
 // backendState is one ring slot: the backend plus the router-side health
-// and drain bookkeeping (a backend carries requests; whether to send them
-// is the router's call).
+// bookkeeping (a backend carries requests; whether to send them is the
+// router's call).
 type backendState struct {
 	index int
-	addr  string
 	b     *shard.Remote
 
 	mu      sync.Mutex
 	healthy bool
 	fails   int
-
-	// inflight counts requests handed to this backend; a ring change waits
-	// for it to drain before closing the departing backend.
-	inflight sync.WaitGroup
 }
 
 func (bs *backendState) isHealthy() bool {
@@ -103,8 +97,10 @@ func WithRouterRegistry(reg *metrics.Registry) RouterOption {
 // NewRouter builds a router over remote shard processes, one per address,
 // in ring order: addrs[i] must be the process started with -shard-index i,
 // so the ids it minted (job prefix "s<i>-", /shards rows) agree with the
-// ring's placement. Health probing starts immediately; Close stops it and
-// releases the backends.
+// ring's placement. The probes enforce this: a shard whose /healthz does not
+// report role "shard" at its own ring index fails them and is ejected.
+// Health probing starts immediately; Close stops it and releases the
+// backends.
 func NewRouter(addrs []string, opts ...RouterOption) (*Router, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("router: need at least one shard address")
@@ -121,45 +117,19 @@ func NewRouter(addrs []string, opts ...RouterOption) (*Router, error) {
 	}
 	rt.ejections = rt.reg.Counter("shard_unhealthy_total")
 	rt.recovered = rt.reg.Counter("shard_recovered_total")
-	rt.reg.GaugeFunc("shard_count", func() int64 {
-		rt.mu.RLock()
-		defer rt.mu.RUnlock()
-		return int64(len(rt.backends))
-	})
-	rt.reg.GaugeFunc("shards_healthy", func() int64 {
-		rt.mu.RLock()
-		defer rt.mu.RUnlock()
-		var n int64
-		for _, bs := range rt.backends {
-			if bs.isHealthy() {
-				n++
-			}
-		}
-		return n
-	})
-	backends, err := remoteBackends(addrs)
-	if err != nil {
-		return nil, err
-	}
-	rt.ring = shard.New(len(backends))
-	rt.backends = backends
-	rt.startProbes()
-	return rt, nil
-}
-
-func remoteBackends(addrs []string) ([]*backendState, error) {
-	backends := make([]*backendState, len(addrs))
+	rt.reg.Gauge("shard_count").Set(int64(len(addrs)))
+	rt.reg.GaugeFunc("shards_healthy", func() int64 { return int64(rt.healthyCount()) })
+	rt.backends = make([]*backendState, len(addrs))
 	for i, addr := range addrs {
 		b, err := shard.NewRemote(addr)
 		if err != nil {
-			for _, bs := range backends[:i] {
-				bs.b.Close()
-			}
 			return nil, err
 		}
-		backends[i] = &backendState{index: i, addr: addr, b: b, healthy: true}
+		rt.backends[i] = &backendState{index: i, b: b, healthy: true}
 	}
-	return backends, nil
+	rt.ring = shard.New(len(addrs))
+	rt.startProbes()
+	return rt, nil
 }
 
 // routes is the router's endpoint table — the service's public surface, row
@@ -188,55 +158,32 @@ func (rt *Router) routes() []route {
 func (rt *Router) Routes() []string { return patterns(rt.routes()) }
 
 // Handler returns the router's HTTP handler.
-func (rt *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	for _, r := range rt.routes() {
-		mux.HandleFunc(r.pattern, r.handler)
-	}
-	return mux
-}
+func (rt *Router) Handler() http.Handler { return serveMux(rt.routes()) }
 
-// backendFor resolves the ring owner of a database id and takes its
-// in-flight hold; callers must release(). ok is false for an ejected shard.
-func (rt *Router) backendFor(id string) (*backendState, bool) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	bs := rt.backends[rt.ring.Owner(id)]
-	if !bs.isHealthy() {
-		return bs, false
-	}
-	bs.inflight.Add(1)
-	return bs, true
-}
-
-// backendAt is backendFor by ring index.
-func (rt *Router) backendAt(i int) (*backendState, bool) {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
+// backendAt returns the backend at ring index i (nil when i is off the
+// ring); ok is false for an ejected shard.
+func (rt *Router) backendAt(i int) (bs *backendState, ok bool) {
 	if i < 0 || i >= len(rt.backends) {
 		return nil, false
 	}
-	bs := rt.backends[i]
-	if !bs.isHealthy() {
-		return bs, false
-	}
-	bs.inflight.Add(1)
-	return bs, true
+	bs = rt.backends[i]
+	return bs, bs.isHealthy()
 }
 
-// held returns every currently-healthy backend with in-flight holds taken,
-// for aggregation fan-out.
-func (rt *Router) held() []*backendState {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	out := make([]*backendState, 0, len(rt.backends))
+// backendFor is backendAt for the ring owner of a database id.
+func (rt *Router) backendFor(id string) (*backendState, bool) {
+	return rt.backendAt(rt.ring.Owner(id))
+}
+
+// healthyCount returns how many backends are currently healthy.
+func (rt *Router) healthyCount() int {
+	n := 0
 	for _, bs := range rt.backends {
 		if bs.isHealthy() {
-			bs.inflight.Add(1)
-			out = append(out, bs)
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 func failUnavailable(w http.ResponseWriter, idx int) {
@@ -248,7 +195,6 @@ func failUnavailable(w http.ResponseWriter, idx int) {
 // shard's response byte-for-byte; a transport failure (nothing written yet)
 // becomes a 503 and counts toward ejection like a failed probe.
 func (rt *Router) serve(bs *backendState, w http.ResponseWriter, r *http.Request) {
-	defer bs.inflight.Done()
 	if err := bs.b.Serve(w, r); err != nil {
 		rt.noteFailure(bs)
 		failUnavailable(w, bs.index)
@@ -311,11 +257,12 @@ func (rt *Router) forwardJob(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) aggregate(w http.ResponseWriter, r *http.Request, path string,
 	less func(a, b json.RawMessage) bool) {
 	merged := []json.RawMessage{}
-	for _, bs := range rt.held() {
+	for _, bs := range rt.backends {
+		if !bs.isHealthy() {
+			continue
+		}
 		var items []json.RawMessage
-		err := bs.b.Fetch(r.Context(), path, &items)
-		bs.inflight.Done()
-		if err != nil {
+		if err := bs.b.Fetch(r.Context(), path, &items); err != nil {
 			rt.noteFailure(bs)
 			failUnavailable(w, bs.index)
 			return
@@ -352,11 +299,8 @@ func (rt *Router) handleJobList(w http.ResponseWriter, r *http.Request) {
 // unreachable shard still appears, marked unhealthy, so the listing always
 // describes the whole ring.
 func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
-	rt.mu.RLock()
-	states := append([]*backendState(nil), rt.backends...)
-	rt.mu.RUnlock()
-	infos := make([]ShardInfo, 0, len(states))
-	for _, bs := range states {
+	infos := make([]ShardInfo, 0, len(rt.backends))
+	for _, bs := range rt.backends {
 		var rows []ShardInfo
 		if bs.isHealthy() && bs.b.Fetch(r.Context(), "/shards", &rows) == nil {
 			infos = append(infos, rows...)
@@ -373,17 +317,8 @@ func (rt *Router) handleShards(w http.ResponseWriter, r *http.Request) {
 // the healthy count (and in shards_healthy / shard_unhealthy_total), not in
 // this endpoint's status.
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	rt.mu.RLock()
-	n := len(rt.backends)
-	healthy := 0
-	for _, bs := range rt.backends {
-		if bs.isHealthy() {
-			healthy++
-		}
-	}
-	rt.mu.RUnlock()
-	writeJSON(w, http.StatusOK, healthBody{
-		Status: "ok", Role: "router", Shards: n, Healthy: healthy})
+	writeJSON(w, http.StatusOK, ringHealth{
+		Status: "ok", Role: "router", Shards: len(rt.backends), Healthy: rt.healthyCount()})
 }
 
 // noteFailure counts one failed probe or transport failure; crossing the
@@ -437,86 +372,46 @@ func (rt *Router) startProbes() {
 // drops ticks while a sweep runs, so sweeps never overlap and a hung shard
 // costs one timeout, not a goroutine per tick.
 func (rt *Router) probeAll() {
-	rt.mu.RLock()
-	states := append([]*backendState(nil), rt.backends...)
-	rt.mu.RUnlock()
 	timeout := rt.probeInterval
 	if timeout < 200*time.Millisecond {
 		timeout = 200 * time.Millisecond
 	}
 	var wg sync.WaitGroup
-	for _, bs := range states {
+	for _, bs := range rt.backends {
 		wg.Add(1)
 		go func(bs *backendState) {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), timeout)
 			defer cancel()
-			if err := bs.b.Fetch(ctx, "/healthz", nil); err != nil {
-				rt.noteFailure(bs)
-			} else {
+			if bs.probe(ctx) {
 				rt.noteSuccess(bs)
+			} else {
+				rt.noteFailure(bs)
 			}
 		}(bs)
 	}
 	wg.Wait()
 }
 
-// SetShardAddrs replaces the ring. Backends whose address keeps its ring
-// position carry over (health, in-flight work and pooled connections
-// intact); departing backends drain — every request already handed to them
-// completes — before they close. New requests route on the new ring the
-// moment the swap commits; the drain barrier orders only the departure.
-func (rt *Router) SetShardAddrs(addrs []string) error {
-	if len(addrs) == 0 {
-		return fmt.Errorf("router: need at least one shard address")
+// probe reports whether the backend answers /healthz as the shard process
+// of its own ring position. A 200 from anything else — a single-process
+// server, or a shard started with another -shard-index (a misordered
+// -shard-addrs) — fails: serving it would store new databases on the wrong
+// shard and answer 404 for existing ones.
+func (bs *backendState) probe(ctx context.Context) bool {
+	var h healthBody
+	if err := bs.b.Fetch(ctx, "/healthz", &h); err != nil {
+		return false
 	}
-	rt.mu.Lock()
-	old := rt.backends
-	backends := make([]*backendState, len(addrs))
-	reused := make(map[*backendState]bool, len(old))
-	for i, addr := range addrs {
-		if i < len(old) && old[i].addr == addr {
-			backends[i] = old[i]
-			reused[old[i]] = true
-			continue
-		}
-		b, err := shard.NewRemote(addr)
-		if err != nil {
-			for _, bs := range backends[:i] {
-				if !reused[bs] {
-					bs.b.Close()
-				}
-			}
-			rt.mu.Unlock()
-			return err
-		}
-		backends[i] = &backendState{index: i, addr: addr, b: b, healthy: true}
-	}
-	rt.backends = backends
-	rt.ring = shard.New(len(backends))
-	rt.mu.Unlock()
-	// Drain barrier: in-flight holds were all taken under the read lock, so
-	// after the swap above no new hold can land on a departing backend.
-	for _, bs := range old {
-		if !reused[bs] {
-			bs.inflight.Wait()
-			bs.b.Close()
-		}
-	}
-	return nil
+	return h.Role == "shard" && h.Shard == bs.index
 }
 
-// Close stops probing and releases the backends after their in-flight
-// requests drain.
+// Close stops probing and releases the backends' idle connections.
 func (rt *Router) Close() error {
 	rt.closeOnce.Do(func() {
 		close(rt.probeStop)
 		<-rt.probeDone
-		rt.mu.RLock()
-		states := append([]*backendState(nil), rt.backends...)
-		rt.mu.RUnlock()
-		for _, bs := range states {
-			bs.inflight.Wait()
+		for _, bs := range rt.backends {
 			bs.b.Close()
 		}
 	})

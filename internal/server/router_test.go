@@ -19,7 +19,7 @@ import (
 // newShardProc builds one "shard process": a single-shard server declared as
 // ring position i, behind a real HTTP listener — what `rpserved -role shard
 // -shard-index i` runs, minus the process boundary. mid, when non-nil, wraps
-// the handler (fault injection for health and drain tests).
+// the handler (fault injection for health tests).
 func newShardProc(t *testing.T, i int, mid func(http.Handler) http.Handler,
 	opts ...server.Option) *httptest.Server {
 	t.Helper()
@@ -353,29 +353,18 @@ func TestShardEjectionAndRecovery(t *testing.T) {
 	})
 }
 
-// TestRingChangeDrainsInFlight covers the drain barrier: a request in
-// flight to a shard leaving the ring completes normally — the ring change
-// waits for it — while new requests route on the new ring immediately.
-func TestRingChangeDrainsInFlight(t *testing.T) {
-	ids := ringIDs(t, 2)
-
-	// Shard 1's mine endpoint blocks until released, holding a request in
-	// flight across the ring change.
-	entered := make(chan struct{}, 1)
-	release := make(chan struct{})
-	hold := func(next http.Handler) http.Handler {
-		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/mine") {
-				entered <- struct{}{}
-				<-release
-			}
-			next.ServeHTTP(w, r)
-		})
-	}
+// TestSwappedRingEjectsShards covers the probes' identity check: a router
+// given the shard addresses out of -shard-index order sees each backend
+// report another ring position. Both fail their probes and are ejected, so
+// requests answer 503 instead of landing on a shard that does not own them.
+func TestSwappedRingEjectsShards(t *testing.T) {
 	s0 := newShardProc(t, 0, nil)
-	s1 := newShardProc(t, 1, hold)
+	s1 := newShardProc(t, 1, nil)
 
-	rt, err := server.NewRouter([]string{s0.URL, s1.URL})
+	reg := metrics.NewRegistry()
+	rt, err := server.NewRouter([]string{s1.URL, s0.URL},
+		server.WithProbeInterval(10*time.Millisecond),
+		server.WithRouterRegistry(reg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,44 +372,21 @@ func TestRingChangeDrainsInFlight(t *testing.T) {
 	front := httptest.NewServer(rt.Handler())
 	t.Cleanup(front.Close)
 
-	for _, id := range ids {
-		if resp, body := do(t, "PUT", front.URL+"/db/"+id, basket(t)); resp.StatusCode != http.StatusCreated {
-			t.Fatalf("PUT %s: %d %s", id, resp.StatusCode, body)
+	waitUntil(t, 5*time.Second, "both swapped shards ejected", func() bool {
+		return reg.Snapshot().Counters["shard_unhealthy_total"] == 2
+	})
+	for _, id := range ringIDs(t, 2) {
+		resp, body := do(t, "GET", front.URL+"/db/"+id, "")
+		var e struct {
+			Code string `json:"code"`
+		}
+		if resp.StatusCode != http.StatusServiceUnavailable ||
+			json.Unmarshal(body, &e) != nil || e.Code != "shard_unavailable" {
+			t.Fatalf("GET %s on a swapped ring: %d %s, want 503 shard_unavailable", id, resp.StatusCode, body)
 		}
 	}
-
-	mineDone := make(chan int, 1)
-	go func() {
-		resp, _ := do(t, "POST", front.URL+"/db/"+ids[1]+"/mine", `{"min_count":2}`)
-		mineDone <- resp.StatusCode
-	}()
-	<-entered
-
-	// Shrink the ring to shard 0 while the mine is in flight on shard 1.
-	drained := make(chan error, 1)
-	go func() { drained <- rt.SetShardAddrs([]string{s0.URL}) }()
-
-	// The barrier must be holding: the in-flight mine hasn't been released.
-	select {
-	case err := <-drained:
-		t.Fatalf("SetShardAddrs returned before the in-flight request finished (err %v)", err)
-	case <-time.After(50 * time.Millisecond):
-	}
-
-	// New requests already route on the shrunk ring: every id now lands on
-	// shard 0, which doesn't hold shard 1's database.
-	if resp, _ := do(t, "GET", front.URL+"/db/"+ids[1], ""); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("post-swap routing: GET %s = %d, want 404 from shard 0", ids[1], resp.StatusCode)
-	}
-
-	// Release: the held request completes with a real response — zero
-	// dropped — and only then does the ring change finish.
-	close(release)
-	if status := <-mineDone; status != http.StatusOK {
-		t.Fatalf("in-flight mine across ring change: status %d, want 200", status)
-	}
-	if err := <-drained; err != nil {
-		t.Fatalf("SetShardAddrs: %v", err)
+	if _, body := do(t, "GET", front.URL+"/healthz", ""); !strings.Contains(string(body), `"healthy":0`) {
+		t.Fatalf("router /healthz on a swapped ring = %s, want \"healthy\":0", body)
 	}
 }
 

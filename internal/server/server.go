@@ -104,7 +104,8 @@ const TenantHeader = "X-Tenant"
 const DefaultTenant = "default"
 
 // Server is the service state: the per-tenant admission governor and the
-// process's engine shard. Safe for concurrent use.
+// process's engine — its database map and lock, async job pool, lattice
+// store and durable store. Safe for concurrent use.
 type Server struct {
 	maxBody int64
 
@@ -118,21 +119,31 @@ type Server struct {
 	// cacheBudget caps the lattice store's resident bytes.
 	cacheBudget int64
 
-	shard *engineShard
-
 	// shardIndex (-1 unless WithShardIndex) marks this process as one shard
 	// of an external ring: ids it mints carry that ring position.
 	shardIndex int
+
+	mu  sync.RWMutex
+	dbs map[string]*entry
+
+	jobs  *jobs.Manager
+	store *lattice.Store
+	// disk is the durable segment store; nil without WithDataDir.
+	disk *store.Store
+
+	// pipe is the engine pipeline every mining run goes through; its
+	// observer is the metrics bundle.
+	pipe engine.Pipeline
 
 	// quotas/gov is the per-tenant admission controller; zero quotas admit
 	// everything.
 	quotas shard.Quotas
 	gov    *shard.Governor
 
-	// dataDir, when set, makes the server durable: the shard opens a
-	// segment store under dataDir/shard-<i>, every acknowledged mutation is
-	// written through before the response, boot replays what disk holds,
-	// and cold databases spill to stubs that rehydrate on first touch.
+	// dataDir, when set, makes the server durable: it opens a segment store
+	// under dataDir/shard-<i>, every acknowledged mutation is written
+	// through before the response, boot replays what disk holds, and cold
+	// databases spill to stubs that rehydrate on first touch.
 	dataDir          string
 	snapshotInterval time.Duration
 	coldAfter        time.Duration
@@ -148,27 +159,6 @@ type Server struct {
 	// before mining starts. Test-only: lets tests replace the database
 	// deterministically mid-run to exercise the save version check.
 	mineHook func()
-}
-
-// engineShard is the process's engine: its database map and lock, its async
-// job pool, and its lattice store. It serves the whole route table (see
-// shardnode.go) and never consults a ring.
-type engineShard struct {
-	id  int
-	srv *Server
-
-	mu  sync.RWMutex
-	dbs map[string]*entry
-
-	jobs  *jobs.Manager
-	store *lattice.Store
-	// disk is the shard's durable segment store; nil without WithDataDir.
-	disk *store.Store
-
-	// pipe is the engine pipeline this shard's mining runs go through; its
-	// observer is the server-wide metrics bundle (metrics objects are
-	// concurrency-safe, so sharing them is not a contention point).
-	pipe engine.Pipeline
 }
 
 // entry is one uploaded database and its saved pattern sets. version is
@@ -291,7 +281,7 @@ func WithCacheBudget(bytes int64) Option {
 	}
 }
 
-// WithDataDir makes the server durable: the shard persists its databases,
+// WithDataDir makes the server durable: it persists its databases,
 // saved pattern sets and installed lattice rungs to an append-only segment
 // store under dir/shard-<i> (fsync'd before a mutation is acknowledged), and
 // Open replays that state on boot — uploads, saves and mined rungs survive
@@ -361,29 +351,25 @@ func Open(opts ...Option) (*Server, error) {
 
 	// A shard process (WithShardIndex) mints ids for its ring position; the
 	// single-process server is position 0 with unprefixed ids.
-	id, prefix := 0, ""
+	prefix := ""
 	if s.shardIndex >= 0 {
-		id, prefix = s.shardIndex, fmt.Sprintf("s%d-", s.shardIndex)
+		prefix = fmt.Sprintf("s%d-", s.shardIndex)
 	}
-	sh := &engineShard{
-		id:    id,
-		srv:   s,
-		dbs:   map[string]*entry{},
-		jobs:  jobs.NewPrefixed(prefix, s.workers, s.queueCap),
-		store: lattice.NewStore(s.cacheBudget),
-		pipe: engine.Pipeline{
-			CompressWorkers: s.compressWorkers,
-			MineWorkers:     s.mineWorkers,
-			Observer:        s.met,
-		},
+	id := s.ringPos()
+	s.dbs = map[string]*entry{}
+	s.jobs = jobs.New(prefix, s.workers, s.queueCap)
+	s.store = lattice.NewStore(s.cacheBudget)
+	s.pipe = engine.Pipeline{
+		CompressWorkers: s.compressWorkers,
+		MineWorkers:     s.mineWorkers,
+		Observer:        s.met,
 	}
-	s.shard = sh
-	s.reg.GaugeFunc(fmt.Sprintf("shard.%d.dbs", id), func() int64 { return int64(sh.dbCount()) })
-	s.reg.GaugeFunc(fmt.Sprintf("shard.%d.queue_depth", id), func() int64 { return int64(sh.jobs.Depth()) })
-	s.reg.GaugeFunc("jobs.queue_depth", func() int64 { return int64(sh.jobs.Depth()) })
-	s.reg.GaugeFunc("jobs.running", func() int64 { return int64(sh.jobs.Running()) })
-	s.reg.GaugeFunc("lattice_rungs", func() int64 { return int64(sh.store.Rungs()) })
-	s.reg.GaugeFunc("lattice_bytes", sh.store.Bytes)
+	s.reg.GaugeFunc(fmt.Sprintf("shard.%d.dbs", id), func() int64 { return int64(s.dbCount()) })
+	s.reg.GaugeFunc(fmt.Sprintf("shard.%d.queue_depth", id), func() int64 { return int64(s.jobs.Depth()) })
+	s.reg.GaugeFunc("jobs.queue_depth", func() int64 { return int64(s.jobs.Depth()) })
+	s.reg.GaugeFunc("jobs.running", func() int64 { return int64(s.jobs.Running()) })
+	s.reg.GaugeFunc("lattice_rungs", func() int64 { return int64(s.store.Rungs()) })
+	s.reg.GaugeFunc("lattice_bytes", s.store.Bytes)
 
 	if s.dataDir != "" {
 		if err := checkOwnedDataDir(s.dataDir, id); err != nil {
@@ -393,8 +379,8 @@ func Open(opts ...Option) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh.disk = disk
-		sh.recoverFromDisk()
+		s.disk = disk
+		s.recoverFromDisk()
 		disk.StartSnapshots(s.snapshotInterval)
 		s.reg.GaugeFunc("store_segments", func() int64 { return int64(disk.Stats().Segments) })
 		s.reg.GaugeFunc("store_bytes", func() int64 { return disk.Stats().DiskBytes })
@@ -404,6 +390,10 @@ func Open(opts ...Option) (*Server, error) {
 	}
 	return s, nil
 }
+
+// ringPos is the server's ring position: its WithShardIndex, or 0 for a
+// single-process server (a ring of one).
+func (s *Server) ringPos() int { return max(s.shardIndex, 0) }
 
 // shardDir names ring position i's store directory under the data dir.
 func shardDir(i int) string { return fmt.Sprintf("shard-%d", i) }
@@ -447,12 +437,12 @@ func checkOwnedDataDir(dir string, own int) error {
 	return nil
 }
 
-// recoverFromDisk rebuilds the shard's database map from its segment store:
+// recoverFromDisk rebuilds the database map from the segment store:
 // every stored database becomes a cold stub (stats, saved-set metadata and
 // tenant accounting live; content loads lazily on first touch).
-func (sh *engineShard) recoverFromDisk() {
+func (s *Server) recoverFromDisk() {
 	now := time.Now()
-	for _, m := range sh.disk.List() {
+	for _, m := range s.disk.List() {
 		e := &entry{
 			id:    m.ID,
 			owner: m.Tenant,
@@ -469,12 +459,12 @@ func (sh *engineShard) recoverFromDisk() {
 				bytes: b, saved: sm.Saved}
 			bytes += b
 		}
-		sh.dbs[m.ID] = e
-		sh.srv.gov.Restore(m.Tenant, 1, bytes)
+		s.dbs[m.ID] = e
+		s.gov.Restore(m.Tenant, 1, bytes)
 	}
 }
 
-// Close stops the persistence tickers and closes the shard's store. Durable
+// Close stops the persistence tickers and closes the segment store. Durable
 // servers should be Closed after Shutdown; for in-memory servers it is a
 // no-op.
 func (s *Server) Close() error {
@@ -483,8 +473,8 @@ func (s *Server) Close() error {
 			close(s.sweepStop)
 			<-s.sweepDone
 		}
-		if s.shard.disk != nil {
-			s.shard.disk.Close()
+		if s.disk != nil {
+			s.disk.Close()
 		}
 	})
 	return nil
@@ -516,15 +506,14 @@ func (s *Server) startSweeper() {
 
 func (s *Server) sweepCold() {
 	cutoff := time.Now().Add(-s.coldAfter)
-	sh := s.shard
-	sh.mu.RLock()
-	entries := make([]*entry, 0, len(sh.dbs))
-	for _, e := range sh.dbs {
+	s.mu.RLock()
+	entries := make([]*entry, 0, len(s.dbs))
+	for _, e := range s.dbs {
 		entries = append(entries, e)
 	}
-	sh.mu.RUnlock()
+	s.mu.RUnlock()
 	for _, e := range entries {
-		sh.spillIfCold(e, cutoff)
+		s.spillIfCold(e, cutoff)
 	}
 }
 
@@ -532,7 +521,7 @@ func (s *Server) sweepCold() {
 // the database and pattern memory are dropped and its memory-lattice ladder
 // invalidated (disk keeps a superset — stats, sets and rungs all rehydrate
 // on first touch). Pinned entries (a mine in flight) are never spilled.
-func (sh *engineShard) spillIfCold(e *entry, cutoff time.Time) {
+func (s *Server) spillIfCold(e *entry, cutoff time.Time) {
 	e.mu.Lock()
 	if !e.resident || e.deleted || e.pins > 0 || e.lastTouch.After(cutoff) {
 		e.mu.Unlock()
@@ -546,44 +535,37 @@ func (sh *engineShard) spillIfCold(e *entry, cutoff time.Time) {
 	}
 	e.mu.Unlock()
 	if old != nil {
-		sh.store.Invalidate(old)
+		s.store.Invalidate(old)
 	}
-	sh.srv.met.storeEvictions.Inc()
+	s.met.storeEvictions.Inc()
 }
 
-// hydrate loads a cold stub's content back from the shard's segment store.
-// Caller must not hold e.mu.
-func (sh *engineShard) hydrate(e *entry) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return sh.hydrateLocked(e)
-}
-
-// hydrateLocked is hydrate under e.mu: a no-op for resident entries, an
-// error for deleted ones. Saved sets keep their stub structs (and their
+// hydrateLocked loads a cold stub's content back from the segment store;
+// caller holds e.mu. It is a no-op for resident entries and an error for
+// deleted ones. Saved sets keep their stub structs (and their
 // already-accounted quota bytes — the stub estimate and the loaded estimate
 // share one formula); the persisted lattice ladder is re-installed into the
-// shard's memory store under the fresh *dataset.DB identity.
-func (sh *engineShard) hydrateLocked(e *entry) error {
+// memory lattice store under the fresh *dataset.DB identity.
+func (s *Server) hydrateLocked(e *entry) error {
 	if e.deleted {
 		return fmt.Errorf("no database %q", e.id)
 	}
-	if e.resident || sh.disk == nil {
+	if e.resident || s.disk == nil {
 		// Without a disk there is nothing to hydrate from — and nothing can
 		// have been spilled.
 		return nil
 	}
-	db, err := sh.disk.LoadDB(e.id)
+	db, err := s.disk.LoadDB(e.id)
 	if err != nil {
-		return err
+		return storeFault{err}
 	}
-	sets, err := sh.disk.LoadSets(e.id)
+	sets, err := s.disk.LoadSets(e.id)
 	if err != nil {
-		return err
+		return storeFault{err}
 	}
-	rungs, err := sh.disk.LoadRungs(e.id)
+	rungs, err := s.disk.LoadRungs(e.id)
 	if err != nil {
-		return err
+		return storeFault{err}
 	}
 	e.db = db
 	e.stats = db.Stats()
@@ -598,11 +580,11 @@ func (sh *engineShard) hydrateLocked(e *entry) error {
 		}
 	}
 	e.resident = true
-	cache := sh.store.Cache(db)
+	cache := s.store.Cache(db)
 	for _, r := range rungs {
 		cache.Install(r.MinCount, r.Patterns)
 	}
-	sh.srv.met.storeRehydrations.Inc()
+	s.met.storeRehydrations.Inc()
 	return nil
 }
 
@@ -623,7 +605,7 @@ func (s *Server) Registry() *metrics.Registry { return s.reg }
 
 // Shutdown drains the async job queue (bounded by ctx) and releases the
 // worker pool. The HTTP listener is the caller's to stop.
-func (s *Server) Shutdown(ctx context.Context) error { return s.shard.jobs.Shutdown(ctx) }
+func (s *Server) Shutdown(ctx context.Context) error { return s.jobs.Shutdown(ctx) }
 
 // route is one registered endpoint. The table drives both Handler and
 // Routes, so the documented surface cannot drift from the served one.
@@ -635,11 +617,11 @@ type route struct {
 // Routes lists every registered "METHOD /pattern" in registration order.
 // README's endpoint table must match it verbatim — a drift test enforces
 // this, like the algorithm table's.
-func (s *Server) Routes() []string { return patterns(s.shard.routes()) }
+func (s *Server) Routes() []string { return patterns(s.routes()) }
 
-// Handler returns the HTTP handler: the engine shard's route table, for a
+// Handler returns the HTTP handler: the server's route table, for a
 // single-process server and a shard process alike.
-func (s *Server) Handler() http.Handler { return s.shard.handler() }
+func (s *Server) Handler() http.Handler { return serveMux(s.routes()) }
 
 // serverMetrics bundles the service's named metrics.
 type serverMetrics struct {
@@ -896,10 +878,19 @@ type LatticeInfo struct {
 	Rungs       []lattice.RungInfo `json:"rungs"`
 }
 
+// storeFault marks a read or write failure of the durable store: the
+// server's fault, not the request's, so the mine path answers it with 500.
+type storeFault struct{ error }
+
+func (f storeFault) Unwrap() error { return f.error }
+
 // failMine maps a mining error to its status: cancellations and deadline
-// expiries are 503 (the service shed the request), anything else 400.
+// expiries are 503 (the service shed the request), store faults 500,
+// anything else 400.
 func (s *Server) failMine(w http.ResponseWriter, err error) {
 	switch {
+	case errors.As(err, new(storeFault)):
+		fail(w, http.StatusInternalServerError, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		failCode(w, http.StatusServiceUnavailable, "deadline", "mining aborted: %v", err)
 	case errors.Is(err, context.Canceled):
@@ -927,10 +918,10 @@ type minePlan struct {
 // plan only selects which saved set (if any) to hand it. A successful plan
 // pins the entry — the cold sweeper must not spill the database out from
 // under the run — so callers must unpin when the run finishes.
-func (sh *engineShard) plan(e *entry, req MineRequest) (minePlan, error) {
+func (s *Server) plan(e *entry, req MineRequest) (minePlan, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := sh.hydrateLocked(e); err != nil {
+	if err := s.hydrateLocked(e); err != nil {
 		return minePlan{}, err
 	}
 	e.lastTouch = time.Now()
@@ -962,20 +953,22 @@ func (e *entry) unpin() {
 	e.mu.Unlock()
 }
 
-// mine runs one round on this shard: snapshot inputs under the entry lock,
-// mine unlocked under ctx (plus the configured per-request deadline), then
-// re-acquire the lock to save. Concurrent saves are last-writer-wins; a save
-// against a database replaced mid-run is skipped (version check) so stale
-// patterns never shadow fresh data.
-func (sh *engineShard) mine(ctx context.Context, e *entry, req MineRequest, min int) (*MineResponse, error) {
-	s := sh.srv
+// mine runs one round: snapshot inputs under the entry lock, mine unlocked
+// under ctx (plus the configured per-request deadline), then re-acquire the
+// lock to save. Concurrent saves are last-writer-wins; a save against a
+// database replaced mid-run is skipped (version check) so stale patterns
+// never shadow fresh data.
+func (s *Server) mine(ctx context.Context, e *entry, req MineRequest, min int) (*MineResponse, error) {
 	if s.mineTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.mineTimeout)
 		defer cancel()
 	}
-	p, err := sh.plan(e, req)
+	p, err := s.plan(e, req)
 	if err != nil {
+		if errors.As(err, new(storeFault)) {
+			s.met.errored.Inc()
+		}
 		return nil, err
 	}
 	defer e.unpin()
@@ -985,8 +978,8 @@ func (sh *engineShard) mine(ctx context.Context, e *entry, req MineRequest, min 
 
 	s.met.inFlight.Add(1)
 	defer s.met.inFlight.Add(-1)
-	pipe := sh.pipe
-	pipe.Cache = sh.store.Cache(p.db)
+	pipe := s.pipe
+	pipe.Cache = s.store.Cache(p.db)
 	var run engine.Run
 	switch {
 	case req.Use == "fresh":
@@ -1021,7 +1014,7 @@ func (sh *engineShard) mine(ctx context.Context, e *entry, req MineRequest, min 
 	}
 
 	var persistErr error
-	if req.SaveAs != "" || (sh.disk != nil && run.Installed != nil) {
+	if req.SaveAs != "" || (s.disk != nil && run.Installed != nil) {
 		bytes := memlimit.EstimatePatternBytes(patterns)
 		e.mu.Lock()
 		// One freshness gate for everything the run wants to persist: the
@@ -1030,8 +1023,8 @@ func (sh *engineShard) mine(ctx context.Context, e *entry, req MineRequest, min 
 		// so charging after it would leak bytes forever — the exactly-once
 		// rule is: quota moves happen under e.mu, gated on !deleted).
 		current := e.version == p.version && !e.deleted
-		if current && sh.disk != nil && run.Installed != nil {
-			persistErr = sh.disk.PutRung(e.id, run.Installed.MinCount, run.Installed.Patterns)
+		if current && s.disk != nil && run.Installed != nil {
+			persistErr = s.disk.PutRung(e.id, run.Installed.MinCount, run.Installed.Patterns)
 		}
 		if req.SaveAs != "" {
 			if current {
@@ -1044,8 +1037,8 @@ func (sh *engineShard) mine(ctx context.Context, e *entry, req MineRequest, min 
 					minCount: min, bytes: bytes, saved: now}
 				resp.SavedAs = req.SaveAs
 				s.gov.AddPatternBytes(e.owner, delta)
-				if sh.disk != nil && persistErr == nil {
-					persistErr = sh.disk.PutSet(e.id, req.SaveAs, min, now, patterns)
+				if s.disk != nil && persistErr == nil {
+					persistErr = s.disk.PutSet(e.id, req.SaveAs, min, now, patterns)
 				}
 			} else {
 				resp.SaveSkipped = true
@@ -1056,7 +1049,7 @@ func (sh *engineShard) mine(ctx context.Context, e *entry, req MineRequest, min 
 	if persistErr != nil {
 		// The save is in memory but not durably acknowledged; surface the
 		// uncertainty rather than promising durability the disk refused.
-		return nil, fmt.Errorf("persist: %w", persistErr)
+		return nil, s.mineFailed(storeFault{fmt.Errorf("persist: %w", persistErr)})
 	}
 
 	if req.Limit > 0 {

@@ -25,8 +25,7 @@ func TestSaveVersionCheck(t *testing.T) {
 	s := New()
 	defer s.Shutdown(context.Background())
 	e := newEntry()
-	sh := s.shard
-	sh.dbs["d"] = e
+	s.dbs["d"] = e
 
 	// Replace the database between snapshot and save.
 	s.mineHook = func() {
@@ -36,7 +35,7 @@ func TestSaveVersionCheck(t *testing.T) {
 		e.version++
 		e.mu.Unlock()
 	}
-	resp, err := sh.mine(context.Background(), e, MineRequest{SaveAs: "stale"}, 2)
+	resp, err := s.mine(context.Background(), e, MineRequest{SaveAs: "stale"}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +48,7 @@ func TestSaveVersionCheck(t *testing.T) {
 
 	// Without a replacement the save lands.
 	s.mineHook = nil
-	resp, err = sh.mine(context.Background(), e, MineRequest{SaveAs: "good"}, 1)
+	resp, err = s.mine(context.Background(), e, MineRequest{SaveAs: "good"}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,14 +66,13 @@ func TestSaveLastWriterWins(t *testing.T) {
 	s := New()
 	defer s.Shutdown(context.Background())
 	e := newEntry()
-	sh := s.shard
-	sh.dbs["d"] = e
+	s.dbs["d"] = e
 
-	if _, err := sh.mine(context.Background(), e, MineRequest{SaveAs: "x", Use: "fresh"}, 2); err != nil {
+	if _, err := s.mine(context.Background(), e, MineRequest{SaveAs: "x", Use: "fresh"}, 2); err != nil {
 		t.Fatal(err)
 	}
 	first := e.sets["x"]
-	if _, err := sh.mine(context.Background(), e, MineRequest{SaveAs: "x", Use: "fresh"}, 1); err != nil {
+	if _, err := s.mine(context.Background(), e, MineRequest{SaveAs: "x", Use: "fresh"}, 1); err != nil {
 		t.Fatal(err)
 	}
 	second := e.sets["x"]
@@ -102,9 +100,8 @@ func TestDeleteMidMineRefundsExactlyOnce(t *testing.T) {
 	}
 
 	// First, charge some bytes so the delete has a real refund to settle.
-	sh := s.shard
-	e := sh.dbs["d"]
-	if _, err := sh.mine(context.Background(), e, MineRequest{SaveAs: "warm"}, 2); err != nil {
+	e := s.dbs["d"]
+	if _, err := s.mine(context.Background(), e, MineRequest{SaveAs: "warm"}, 2); err != nil {
 		t.Fatal(err)
 	}
 	if u := s.gov.Usage(DefaultTenant); u.PatternBytes <= 0 {
@@ -121,7 +118,7 @@ func TestDeleteMidMineRefundsExactlyOnce(t *testing.T) {
 			t.Errorf("mid-mine delete: %d %s", rec.Code, rec.Body)
 		}
 	}
-	resp, err := sh.mine(context.Background(), e, MineRequest{SaveAs: "leak"}, 2)
+	resp, err := s.mine(context.Background(), e, MineRequest{SaveAs: "leak"}, 2)
 	s.mineHook = nil
 	if err != nil {
 		t.Fatal(err)

@@ -303,6 +303,56 @@ func TestJobsLifecycle(t *testing.T) {
 	}
 }
 
+// TestJobCancelCountsOnlyLiveJobs proves jobs.cancelled counts real
+// cancellations only: cancelling a running job counts once, while a repeat
+// cancel and a cancel of a finished job still answer 200 with the job's
+// final state but count nothing.
+func TestJobCancelCountsOnlyLiveJobs(t *testing.T) {
+	reg := metrics.NewRegistry()
+	srv := server.New(server.WithWorkers(1), server.WithRegistry(reg))
+	defer srv.Shutdown(context.Background())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	do(t, "PUT", ts.URL+"/db/slow", slowBasket(30, 60))
+
+	submit := func(body string) jobs.Snapshot {
+		resp, b := do(t, "POST", ts.URL+"/db/slow/mine?async=1", body)
+		var snap jobs.Snapshot
+		if resp.StatusCode != http.StatusAccepted || json.Unmarshal(b, &snap) != nil {
+			t.Fatalf("submit: %d %s", resp.StatusCode, b)
+		}
+		return snap
+	}
+	status := func(id string) jobs.Status {
+		_, b := do(t, "GET", ts.URL+"/jobs/"+id, "")
+		var snap jobs.Snapshot
+		json.Unmarshal(b, &snap)
+		return snap.Status
+	}
+	cancel := func(id string, want int64) {
+		t.Helper()
+		if resp, b := do(t, "DELETE", ts.URL+"/jobs/"+id, ""); resp.StatusCode != http.StatusOK {
+			t.Fatalf("cancel %s: %d %s", id, resp.StatusCode, b)
+		}
+		if got := reg.Snapshot().Counters["jobs.cancelled"]; got != want {
+			t.Fatalf("jobs.cancelled after cancelling %s = %d, want %d", id, got, want)
+		}
+	}
+
+	slow := submit(`{"min_count":1}`)
+	waitUntil(t, 5*time.Second, "slow job to run", func() bool { return status(slow.ID) == jobs.StatusRunning })
+	cancel(slow.ID, 1)
+	waitUntil(t, 5*time.Second, "slow job to cancel", func() bool { return status(slow.ID) == jobs.StatusCancelled })
+	cancel(slow.ID, 1)
+
+	quick := submit(`{"min_count":61}`)
+	waitUntil(t, 5*time.Second, "quick job to finish", func() bool { return status(quick.ID) == jobs.StatusDone })
+	cancel(quick.ID, 1)
+	if s := status(quick.ID); s != jobs.StatusDone {
+		t.Fatalf("finished job after cancel = %s, want done", s)
+	}
+}
+
 // TestMetricsEndpoint runs a small integration and checks /metrics reports
 // mine counts, the latency histogram, the source mix, and queue gauges.
 func TestMetricsEndpoint(t *testing.T) {

@@ -117,8 +117,7 @@ func TestPersistCrashRecovery(t *testing.T) {
 		t.Fatalf("recovered set listing: %d %s", resp.StatusCode, body)
 	}
 	// Listing is metadata-only: the database must still be a cold stub.
-	sh := s2.shard
-	e := sh.dbs["paper"]
+	e := s2.dbs["paper"]
 	e.mu.Lock()
 	resident := e.resident
 	e.mu.Unlock()
@@ -183,7 +182,7 @@ func TestColdSpillAndRehydrate(t *testing.T) {
 	_, wantPatterns := doReq(t, h, "GET", "/db/paper/patterns/round1", "", nil)
 
 	// Wait out the cold clock (the pattern fetch above was the last touch).
-	e := s.shard.dbs["paper"]
+	e := s.dbs["paper"]
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		e.mu.Lock()
@@ -261,6 +260,38 @@ func TestDeleteSurvivesRestart(t *testing.T) {
 	}
 	if got := s2.gov.Usage(DefaultTenant).DBs; got != 1 {
 		t.Fatalf("restored DBs = %d, want 1", got)
+	}
+}
+
+// TestMineStoreFailureIs500 proves a store failure on the mine path is the
+// server's error, as on PUT and DELETE: a saving mine against a closed store
+// answers 500 and counts in mine.requests.errors, while a client error on
+// the same server stays 400 and counts nothing.
+func TestMineStoreFailureIs500(t *testing.T) {
+	s, err := Open(WithDataDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+	if resp, body := doReq(t, h, "PUT", "/db/d", paperBasket(), nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: %d %s", resp.StatusCode, body)
+	}
+	s.Close()
+
+	errCount := func() int64 { return s.reg.Snapshot().Counters["mine.requests.errors"] }
+	if resp, body := doReq(t, h, "POST", "/db/d/mine", `{"min_count":2,"use":"nope"}`, nil); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("mine with unknown set: %d %s, want 400", resp.StatusCode, body)
+	}
+	if got := errCount(); got != 0 {
+		t.Fatalf("mine.requests.errors after a client error = %d, want 0", got)
+	}
+	resp, body := doReq(t, h, "POST", "/db/d/mine", `{"min_count":2,"save_as":"x"}`, nil)
+	if resp.StatusCode != http.StatusInternalServerError || !strings.Contains(string(body), "persist: ") {
+		t.Fatalf("mine on a closed store: %d %s, want 500 persist error", resp.StatusCode, body)
+	}
+	if got := errCount(); got != 1 {
+		t.Fatalf("mine.requests.errors = %d, want 1", got)
 	}
 }
 

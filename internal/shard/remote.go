@@ -12,13 +12,13 @@ import (
 
 // Remote carries requests from the router to one shard process over HTTP.
 // The router owns *where* a request goes (the consistent-hash Ring) and
-// *whether* the shard is reachable (health probes, drain barriers); Remote
-// owns carrying it there. It forwards routed requests verbatim (method,
-// path, query, headers — X-Tenant included — and body) and copies the
-// shard's response back unchanged, so the forwarding contract holds
-// byte-for-byte: a quota 429 through the router carries the same status,
-// JSON error body and Retry-After header as one from a single-process
-// server.
+// *whether* the shard should get it (health probes that also check the
+// shard's ring position); Remote owns carrying it there. It forwards routed
+// requests verbatim (method, path, query, headers — X-Tenant included — and
+// body) and copies the shard's response back unchanged, so the forwarding
+// contract holds byte-for-byte: a quota 429 through the router carries the
+// same status, JSON error body and Retry-After header as one from a
+// single-process server.
 //
 // Remote is safe for concurrent use; its http.Client keeps per-host
 // connections pooled across requests.
@@ -104,11 +104,10 @@ func isHopHeader(k string) bool {
 	return false
 }
 
-// Fetch GETs path on the shard and decodes the JSON body into v (nil drains
-// and discards it — used by health probes). Any non-2xx status is an error:
-// Fetch is the router's structured side channel for aggregation (GET /db,
-// /jobs, /shards) and /healthz probing, where anything but success means
-// "leave this shard out".
+// Fetch GETs path on the shard and decodes the JSON body into v. Any non-2xx
+// status is an error: Fetch is the router's structured side channel for
+// aggregation (GET /db, /jobs, /shards) and /healthz probing, where anything
+// but success means "leave this shard out".
 func (b *Remote) Fetch(ctx context.Context, path string, v any) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.base.String()+path, nil)
 	if err != nil {
@@ -123,18 +122,14 @@ func (b *Remote) Fetch(ctx context.Context, path string, v any) error {
 		io.Copy(io.Discard, resp.Body)
 		return fmt.Errorf("%s%s: status %d", b.Addr(), path, resp.StatusCode)
 	}
-	if v == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
-	}
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
 // Addr identifies the shard for logs and errors: its base URL.
 func (b *Remote) Addr() string { return b.base.String() }
 
-// Close drops pooled connections. The router closes a backend only after
-// its in-flight requests drained.
+// Close drops idle pooled connections; requests still in flight finish on
+// their own connections.
 func (b *Remote) Close() error {
 	b.client.CloseIdleConnections()
 	return nil

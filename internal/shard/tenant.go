@@ -70,9 +70,6 @@ func (u Usage) zero() bool { return u.DBs == 0 && u.QueuedJobs == 0 && u.Pattern
 // bookkeeping under one small mutex — acquisitions are O(1) map operations,
 // never held across mining or IO — and tenants whose usage returns to zero
 // are forgotten, so the table tracks active tenants, not historical ones.
-//
-// A nil *Governor admits everything, so surfaces can thread it through
-// unconditionally.
 type Governor struct {
 	quotas Quotas
 
@@ -83,14 +80,6 @@ type Governor struct {
 // NewGovernor returns a governor enforcing q.
 func NewGovernor(q Quotas) *Governor {
 	return &Governor{quotas: q, tenants: map[string]*Usage{}}
-}
-
-// Quotas returns the configured limits.
-func (g *Governor) Quotas() Quotas {
-	if g == nil {
-		return Quotas{}
-	}
-	return g.quotas
 }
 
 // usageLocked returns tenant's record, creating it on first touch.
@@ -112,9 +101,6 @@ func (g *Governor) pruneLocked(tenant string) {
 
 // AcquireDB admits one new database for tenant, or returns a *QuotaError.
 func (g *Governor) AcquireDB(tenant string) error {
-	if g == nil {
-		return nil
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	u := g.usageLocked(tenant)
@@ -129,9 +115,6 @@ func (g *Governor) AcquireDB(tenant string) error {
 
 // ReleaseDB returns one database slot.
 func (g *Governor) ReleaseDB(tenant string) {
-	if g == nil {
-		return
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if u, ok := g.tenants[tenant]; ok && u.DBs > 0 {
@@ -143,9 +126,6 @@ func (g *Governor) ReleaseDB(tenant string) {
 // AcquireJob admits one queued-or-running async job for tenant, or returns
 // a *QuotaError.
 func (g *Governor) AcquireJob(tenant string) error {
-	if g == nil {
-		return nil
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	u := g.usageLocked(tenant)
@@ -160,9 +140,6 @@ func (g *Governor) AcquireJob(tenant string) error {
 
 // ReleaseJob returns one job slot (the job reached a terminal state).
 func (g *Governor) ReleaseJob(tenant string) {
-	if g == nil {
-		return
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if u, ok := g.tenants[tenant]; ok && u.QueuedJobs > 0 {
@@ -178,9 +155,6 @@ func (g *Governor) ReleaseJob(tenant string) {
 // mined), which is the standard high-water-mark discipline: the next save
 // request is then rejected until the tenant frees something.
 func (g *Governor) CheckPatternBytes(tenant string) error {
-	if g == nil {
-		return nil
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	max := g.quotas.MaxPatternBytes
@@ -199,7 +173,7 @@ func (g *Governor) CheckPatternBytes(tenant string) error {
 // AddPatternBytes moves tenant's accounted saved-pattern bytes by n (negative
 // when sets are deleted or replaced).
 func (g *Governor) AddPatternBytes(tenant string, n int64) {
-	if g == nil || n == 0 {
+	if n == 0 {
 		return
 	}
 	g.mu.Lock()
@@ -218,7 +192,7 @@ func (g *Governor) AddPatternBytes(tenant string, n int64) {
 // quota until they free something — the same high-water-mark discipline as
 // AddPatternBytes).
 func (g *Governor) Restore(tenant string, dbs int, patternBytes int64) {
-	if g == nil || (dbs == 0 && patternBytes == 0) {
+	if dbs == 0 && patternBytes == 0 {
 		return
 	}
 	g.mu.Lock()
@@ -234,9 +208,6 @@ func (g *Governor) Restore(tenant string, dbs int, patternBytes int64) {
 
 // Usage returns tenant's current accounted consumption.
 func (g *Governor) Usage(tenant string) Usage {
-	if g == nil {
-		return Usage{}
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if u, ok := g.tenants[tenant]; ok {
@@ -247,9 +218,6 @@ func (g *Governor) Usage(tenant string) Usage {
 
 // Tenants returns the number of tenants with non-zero usage.
 func (g *Governor) Tenants() int {
-	if g == nil {
-		return 0
-	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return len(g.tenants)
