@@ -328,23 +328,27 @@ func mine(db *dataset.DB, min int, algo string, strat core.Strategy, recycled []
 	fmt.Fprintf(os.Stderr, "compressed: %d groups covering %d tuples, ratio %.3f\n",
 		s.NumGroups, s.Grouped, s.Ratio)
 	if budget > 0 {
-		// memlimit drives its own serial leaf miners; it understands the
-		// serial engine names only.
+		// memlimit mines its partitions serially, so a par-* name runs
+		// its serial engine.
 		serial := d.Name
 		if d.Base != "" {
 			serial = d.Base
 		}
-		engName := "rp-hmine"
-		if serial == "rp-naive" {
-			engName = "rp-naive"
+		eng, err := engine.NewEngine(serial, 0)
+		if err != nil {
+			return err
 		}
-		return memlimit.MineCDB(cdb, min, memlimit.Config{Budget: budget, Engine: engName}, sink)
+		enc, ok := eng.(core.EncodedMiner)
+		if !ok {
+			return fmt.Errorf("rpmine: -mem does not support %s", algo)
+		}
+		return memlimit.MineCDB(cdb, min, memlimit.Config{Budget: budget, Engine: enc}, sink)
 	}
 	eng, err := engine.NewEngine(algo, workers)
 	if err != nil {
 		return err
 	}
-	return eng.MineCDB(cdb, min, sink)
+	return eng.MineCDB(context.Background(), cdb, min, sink)
 }
 
 // listAlgorithms renders the registry catalogue behind -list.

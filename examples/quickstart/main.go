@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -59,7 +60,7 @@ func main() {
 
 	var recycled mining.Count
 	start = time.Now()
-	if err := rphmine.New().MineCDB(cdb, xiNew, &recycled); err != nil {
+	if err := rphmine.New().MineCDB(context.Background(), cdb, xiNew, &recycled); err != nil {
 		log.Fatal(err)
 	}
 	viaRecycling := time.Since(start)

@@ -57,7 +57,8 @@ type (
 	Strategy = core.Strategy
 	// Miner is a frequent-pattern mining algorithm.
 	Miner = mining.Miner
-	// CDBMiner mines compressed databases.
+	// CDBMiner mines compressed databases; its MineCDB takes a context and
+	// stops promptly when it is cancelled.
 	CDBMiner = core.CDBMiner
 	// Result is one mining round's outcome — the shape shared with the
 	// session layer and the HTTP server.

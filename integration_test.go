@@ -5,6 +5,7 @@
 package gogreen
 
 import (
+	"context"
 	"testing"
 
 	"gogreen/internal/apriori"
@@ -77,7 +78,7 @@ func TestAllMinersAgreeOnPresets(t *testing.T) {
 				}
 				for name, eng := range engines {
 					for label, cdb := range map[string]*core.CDB{"MCP": cdbMCP, "MLP": cdbMLP} {
-						got := mineSet(t, name, func(s mining.Sink) error { return eng.MineCDB(cdb, min, s) })
+						got := mineSet(t, name, func(s mining.Sink) error { return eng.MineCDB(context.Background(), cdb, min, s) })
 						if !got.Equal(ref) {
 							t.Fatalf("%s@%g: %s/%s disagrees with hmine: %v",
 								spec.Name, xi, name, label, got.Diff(ref, 8))

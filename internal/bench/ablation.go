@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -80,7 +81,7 @@ func runAblationUtility(cfg Config, w io.Writer) error {
 			st := cdb.Stats()
 			mine := Timed(func() {
 				var c mining.Count
-				if err := (core.Naive{}).MineCDB(cdb, min, &c); err != nil {
+				if err := (core.Naive{}).MineCDB(context.Background(), cdb, min, &c); err != nil {
 					panic(err)
 				}
 			})
@@ -126,13 +127,13 @@ func runAblationSingleGroup(cfg Config, w io.Writer) error {
 			min := MinCountAt(db.Len(), xi)
 			on := Timed(func() {
 				var c mining.Count
-				if err := (core.Naive{}).MineCDB(cdb, min, &c); err != nil {
+				if err := (core.Naive{}).MineCDB(context.Background(), cdb, min, &c); err != nil {
 					panic(err)
 				}
 			})
 			off := Timed(func() {
 				var c mining.Count
-				if err := (core.Naive{DisableSingleGroup: true}).MineCDB(cdb, min, &c); err != nil {
+				if err := (core.Naive{DisableSingleGroup: true}).MineCDB(context.Background(), cdb, min, &c); err != nil {
 					panic(err)
 				}
 			})
@@ -177,7 +178,7 @@ func runAblationXiOld(cfg Config, w io.Writer) error {
 			cdb := core.Compress(db, col.Patterns, core.MCP)
 			rec := Timed(func() {
 				var c mining.Count
-				if err := rphmineMiner().MineCDB(cdb, min, &c); err != nil {
+				if err := rphmineMiner().MineCDB(context.Background(), cdb, min, &c); err != nil {
 					panic(err)
 				}
 			})
@@ -202,7 +203,7 @@ func runAblationEngine(cfg Config, w io.Writer) error {
 		for _, eng := range engines() {
 			d := Timed(func() {
 				var c mining.Count
-				if err := eng.MineCDB(cdb, min, &c); err != nil {
+				if err := eng.MineCDB(context.Background(), cdb, min, &c); err != nil {
 					panic(err)
 				}
 			})
@@ -235,7 +236,7 @@ func runAblationDedup(cfg Config, w io.Writer) error {
 		})
 		dedup := Timed(func() {
 			var c mining.Count
-			if err := rphmineMiner().MineCDB(dd, min, &c); err != nil {
+			if err := rphmineMiner().MineCDB(context.Background(), dd, min, &c); err != nil {
 				panic(err)
 			}
 			if c.N != n.N {
@@ -244,7 +245,7 @@ func runAblationDedup(cfg Config, w io.Writer) error {
 		})
 		rec := Timed(func() {
 			var c mining.Count
-			if err := rphmineMiner().MineCDB(cdb, min, &c); err != nil {
+			if err := rphmineMiner().MineCDB(context.Background(), cdb, min, &c); err != nil {
 				panic(err)
 			}
 		})

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -161,7 +162,7 @@ func runFigure(cfg Config, w io.Writer, spec *DatasetSpec, fam family) error {
 		patterns := n.N
 		mcp := Timed(func() {
 			var c mining.Count
-			if err := fam.engine.MineCDB(cdbMCP, min, &c); err != nil {
+			if err := fam.engine.MineCDB(context.Background(), cdbMCP, min, &c); err != nil {
 				panic(err)
 			}
 			if c.N != patterns {
@@ -170,7 +171,7 @@ func runFigure(cfg Config, w io.Writer, spec *DatasetSpec, fam family) error {
 		})
 		mlp := Timed(func() {
 			var c mining.Count
-			if err := fam.engine.MineCDB(cdbMLP, min, &c); err != nil {
+			if err := fam.engine.MineCDB(context.Background(), cdbMLP, min, &c); err != nil {
 				panic(err)
 			}
 			if c.N != patterns {

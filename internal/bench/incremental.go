@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"text/tabwriter"
@@ -69,7 +70,7 @@ func runIncremental(cfg Config, w io.Writer) error {
 		rec := Timed(func() {
 			cdb := core.Compress(combined, oldFP, core.MCP)
 			var c mining.Count
-			if err := rphmineMiner().MineCDB(cdb, newMin, &c); err != nil {
+			if err := rphmineMiner().MineCDB(context.Background(), cdb, newMin, &c); err != nil {
 				panic(err)
 			}
 			nRec = c.N

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -47,7 +48,7 @@ func runParallel(cfg Config, w io.Writer) error {
 			})
 			rec := Timed(func() {
 				n2 = mining.Count{}
-				if err := recycled.MineCDB(cdb, min, &n2); err != nil {
+				if err := recycled.MineCDB(context.Background(), cdb, min, &n2); err != nil {
 					panic(err)
 				}
 			})

@@ -221,6 +221,10 @@ func CompressPerf(cfg Config, quick bool) (PerfReport, error) {
 	return rep, nil
 }
 
+// pairRuns is how many interleaved serial/1-worker pairs MinePerf measures
+// per miner.
+const pairRuns = 5
+
 // MinePerf benchmarks the mining phase on the Connect-4 preset at one ξ_new
 // below its ξ_old: fresh H-Mine, then each recycled miner over the
 // precompressed database — serial, plus a worker-count grid through the
@@ -228,6 +232,12 @@ func CompressPerf(cfg Config, quick bool) (PerfReport, error) {
 // parallel row's SpeedupVsSerial is measured against its own miner's serial
 // row, the serial recycled rows against fresh H-Mine (the recycling
 // advantage).
+//
+// A serial row and its 1-worker par-* row (the rows CheckReport gates) are
+// measured as pairRuns interleaved pairs — serial, par, serial, par, … — so
+// host speed drift lands on both halves of a pair alike. The 1-worker row's
+// SpeedupVsSerial is the median of the per-pair ratios, and each of the two
+// rows reports its median run.
 func MinePerf(cfg Config, quick bool) (PerfReport, error) {
 	rep := newReport("mine", cfg, quick)
 	scale := cfg.Scale
@@ -246,7 +256,7 @@ func MinePerf(cfg Config, quick bool) (PerfReport, error) {
 	fp := col.Patterns
 	cdb := core.Compress(db, fp, core.MCP)
 
-	measure := func(name string, workers int, serialNs float64, run func() error) (PerfEntry, error) {
+	measure := func(name string, workers int, run func() error) (PerfEntry, error) {
 		var runErr error
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
@@ -263,71 +273,72 @@ func MinePerf(cfg Config, quick bool) (PerfReport, error) {
 		e := entryOf(r, "mine", "connect4", name)
 		e.Workers = workers
 		e.Patterns = len(fp)
-		if serialNs > 0 {
-			e.SpeedupVsSerial = serialNs / e.NsPerOp
-		}
 		return e, nil
 	}
 
-	// Fresh H-Mine and its parallel worker grid.
-	fresh, err := measure("hmine", 0, 0, func() error {
+	// run returns one mine of registry entry d on a w-worker pool.
+	ctx := context.Background()
+	run := func(d engine.Descriptor, w int) func() error {
 		var c mining.Count
-		return registryMiner("hmine").Mine(db, min, &c)
-	})
-	if err != nil {
-		return rep, err
-	}
-	fresh.SpeedupVsSerial = 1
-	rep.Entries = append(rep.Entries, fresh)
-	for _, w := range mineWorkerCounts(quick) {
-		par, err := engine.NewMiner("par-hmine", w)
-		if err != nil {
-			return rep, err
+		if d.Kind == engine.Fresh {
+			m := d.Miner(w)
+			return func() error { return m.Mine(db, min, &c) }
 		}
-		e, err := measure(fmt.Sprintf("par-hmine-%dw", w), w, fresh.NsPerOp, func() error {
-			var c mining.Count
-			return par.Mine(db, min, &c)
-		})
-		if err != nil {
-			return rep, err
-		}
-		rep.Entries = append(rep.Entries, e)
+		e := d.Engine(w)
+		return func() error { return e.MineCDB(ctx, cdb, min, &c) }
 	}
 
-	// Every wrappable recycled miner the registry carries, over the
-	// precompressed database: serial row (speedup vs fresh H-Mine), then the
-	// parallel worker grid through the registry's derived par-* variant
-	// (speedup vs that miner's serial row). A newly registered encoded engine
-	// joins the grid automatically.
+	// Fresh H-Mine, then every recycled miner with a parallel variant over
+	// the precompressed database (a newly registered parallel engine joins
+	// the grid automatically): the serial row, with its speedup vs fresh
+	// H-Mine, then the registry's derived par-* variant over the worker
+	// grid, each with its speedup vs that miner's serial row.
+	var freshNs float64
 	for _, d := range engine.Descriptors() {
-		if d.Kind != engine.Recycled || d.Base != "" || !d.Encoded {
+		if d.Par == "" {
 			continue
 		}
-		eng := d.Engine(0)
-		serial, err := measure(d.Name, 0, fresh.NsPerOp, func() error {
-			var c mining.Count
-			return eng.MineCDB(cdb, min, &c)
-		})
-		if err != nil {
-			return rep, err
+		pd, _ := engine.Lookup(d.Par)
+		serialRun, par1 := run(d, 0), run(pd, 1)
+		var serials, pars []PerfEntry
+		var ratios []float64
+		for i := 0; i < pairRuns; i++ {
+			s, err := measure(d.Name, 0, serialRun)
+			if err != nil {
+				return rep, err
+			}
+			p, err := measure(d.Par+"-1w", 1, par1)
+			if err != nil {
+				return rep, err
+			}
+			serials, pars = append(serials, s), append(pars, p)
+			ratios = append(ratios, s.NsPerOp/p.NsPerOp)
 		}
-		rep.Entries = append(rep.Entries, serial)
-		for _, w := range mineWorkerCounts(quick) {
-			par, err := engine.NewEngine(d.Par, w)
+		serial, par := medianEntry(serials), medianEntry(pars)
+		if d.Kind == engine.Fresh {
+			freshNs = serial.NsPerOp
+		}
+		serial.SpeedupVsSerial = freshNs / serial.NsPerOp
+		sort.Float64s(ratios)
+		par.SpeedupVsSerial = ratios[len(ratios)/2]
+		rep.Entries = append(rep.Entries, serial, par)
+		for _, w := range mineWorkerCounts(quick)[1:] { // 1 was measured above
+			e, err := measure(fmt.Sprintf("%s-%dw", d.Par, w), w, run(pd, w))
 			if err != nil {
 				return rep, err
 			}
-			e, err := measure(fmt.Sprintf("%s-%dw", d.Par, w), w, serial.NsPerOp, func() error {
-				var c mining.Count
-				return par.MineCDB(cdb, min, &c)
-			})
-			if err != nil {
-				return rep, err
-			}
+			e.SpeedupVsSerial = serial.NsPerOp / e.NsPerOp
 			rep.Entries = append(rep.Entries, e)
 		}
 	}
 	return rep, nil
+}
+
+// medianEntry returns the run with the median ns/op of an odd-length set.
+func medianEntry(runs []PerfEntry) PerfEntry {
+	sorted := append([]PerfEntry(nil), runs...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].NsPerOp < sorted[j].NsPerOp })
+	return sorted[len(sorted)/2]
 }
 
 // mineWorkerCounts is the mining-phase worker grid: 1 (wrapper overhead),

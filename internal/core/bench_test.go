@@ -165,7 +165,7 @@ func BenchmarkNaiveMine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var c mining.Count
-		if err := (core.Naive{}).MineCDB(cdb, 100, &c); err != nil {
+		if err := (core.Naive{}).MineCDB(context.Background(), cdb, 100, &c); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -267,8 +267,8 @@ func TestCompressCancelMidway(t *testing.T) {
 	// Already-cancelled contexts abort before any work.
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := core.CompressContext(done, db, nil, core.MCP); err != context.Canceled {
-		t.Fatalf("CompressContext: err = %v, want context.Canceled", err)
+	if _, err := core.CompressParallel(done, db, nil, core.MCP, 1); err != context.Canceled {
+		t.Fatalf("CompressParallel: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -24,7 +24,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -195,17 +194,6 @@ func (c *CDB) String() string {
 // CompressParallel to shard it across workers with identical output.
 func Compress(db *dataset.DB, fp []mining.Pattern, strat Strategy) *CDB {
 	return CompressRanked(db, RankPatterns(fp, db.Len(), strat))
-}
-
-// CompressContext is Compress with cooperative cancellation: the per-tuple
-// cover loop checks ctx periodically, so even phase one of recycling honors
-// deadlines on large databases.
-func CompressContext(ctx context.Context, db *dataset.DB, fp []mining.Pattern, strat Strategy) (*CDB, error) {
-	cancel := mining.NewCanceller(ctx, 0)
-	if err := cancel.Err(); err != nil {
-		return nil, err
-	}
-	return compressIndexed(db, RankPatterns(fp, db.Len(), strat), cancel)
 }
 
 // CompressRanked compresses db with an explicitly ordered pattern list:

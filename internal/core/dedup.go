@@ -12,9 +12,6 @@ import (
 // relational data (fixed-length attribute encodings with few distinct
 // configurations) often collapses dramatically — and every compressed-
 // database engine in this module can mine the result as-is.
-//
-// Dedup composes with pattern recycling: RefineCDB re-covers the loose and
-// tail parts of any CDB with recycled patterns.
 func Dedup(db *dataset.DB) *CDB {
 	cdb := &CDB{NumTx: db.Len(), Dict: db.Dict()}
 	index := map[string]int{} // tuple key -> group index

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -55,7 +56,7 @@ func TestDedupMiningExact(t *testing.T) {
 		for _, min := range []int{1, 2, 5} {
 			want := testutil.Oracle(t, db, min)
 			var c mining.Collector
-			if err := (core.Naive{}).MineCDB(cdb, min, &c); err != nil {
+			if err := (core.Naive{}).MineCDB(context.Background(), cdb, min, &c); err != nil {
 				t.Fatal(err)
 			}
 			got, err := c.Set()

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"testing"
 
 	"gogreen/internal/apriori"
@@ -64,7 +65,7 @@ func FuzzRecyclingEquivalence(f *testing.F) {
 			cdb := core.Compress(db, oldC.Patterns, strat)
 			for _, eng := range engines {
 				var c mining.Collector
-				if err := eng.MineCDB(cdb, min, &c); err != nil {
+				if err := eng.MineCDB(context.Background(), cdb, min, &c); err != nil {
 					t.Fatal(err)
 				}
 				got, err := c.Set()

@@ -40,14 +40,7 @@ func (r *Recycler) engine() CDBMiner {
 
 // Mine implements mining.Miner.
 func (r *Recycler) Mine(db *dataset.DB, minCount int, sink mining.Sink) error {
-	if minCount < 1 {
-		return mining.ErrBadMinSupport
-	}
-	cdb, err := CompressParallel(context.Background(), db, r.FP, r.Strategy, r.CompressWorkers)
-	if err != nil {
-		return err
-	}
-	return r.engine().MineCDB(cdb, minCount, sink)
+	return r.MineContext(context.Background(), db, minCount, sink)
 }
 
 // MineContext implements mining.ContextMiner: both phases — compression and
@@ -60,7 +53,7 @@ func (r *Recycler) MineContext(ctx context.Context, db *dataset.DB, minCount int
 	if err != nil {
 		return err
 	}
-	return MineCDBContext(ctx, r.engine(), cdb, minCount, sink)
+	return r.engine().MineCDB(ctx, cdb, minCount, sink)
 }
 
 // FilterTightened implements the easy direction of recycling (Section 2):
@@ -71,19 +64,6 @@ func FilterTightened(fp []mining.Pattern, minCount int) []mining.Pattern {
 	out := make([]mining.Pattern, 0, len(fp))
 	for _, p := range fp {
 		if p.Support >= minCount {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// FilterFunc generalizes FilterTightened to arbitrary tightened constraint
-// predicates: keep says whether a pattern satisfies the new (stricter)
-// constraint set.
-func FilterFunc(fp []mining.Pattern, keep func(mining.Pattern) bool) []mining.Pattern {
-	out := make([]mining.Pattern, 0, len(fp))
-	for _, p := range fp {
-		if keep(p) {
 			out = append(out, p)
 		}
 	}

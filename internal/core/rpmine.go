@@ -9,37 +9,63 @@ import (
 )
 
 // CDBMiner is a frequent-pattern mining algorithm over a compressed
-// database. Implemented by the naive miner in this package and by the
-// H-Mine, FP-tree and Tree Projection adaptations in their own packages.
+// database. Implemented by the naive miner in this package, by the H-Mine,
+// FP-tree and Tree Projection adaptations in their own packages, and by
+// the parallel wrapper around those three.
 type CDBMiner interface {
 	// Name identifies the engine (e.g. "rp-hmine").
 	Name() string
 	// MineCDB finds all frequent patterns of the database cdb represents at
-	// absolute support minCount, streaming them into sink.
-	MineCDB(cdb *CDB, minCount int, sink mining.Sink) error
+	// absolute support minCount, streaming them into sink. It aborts
+	// promptly when ctx is cancelled or its deadline expires, returning the
+	// context's error; once it returns, sink sees no further Emit calls.
+	MineCDB(ctx context.Context, cdb *CDB, minCount int, sink mining.Sink) error
 }
 
-// ContextCDBMiner is a CDBMiner supporting cooperative cancellation:
-// MineCDBContext aborts promptly when ctx is cancelled or its deadline
-// expires, returning the context's error.
-type ContextCDBMiner interface {
+// EncodedMiner is a CDBMiner that can also mine an already rank-encoded
+// (projected) compressed database whose patterns all extend prefix (in
+// rank space). The memory-limited driver mines disk partitions through it,
+// and the parallel wrapper mines one subtree per task.
+type EncodedMiner interface {
 	CDBMiner
-	MineCDBContext(ctx context.Context, cdb *CDB, minCount int, sink mining.Sink) error
+	// MineEncoded mines blocks and loose at minCount under ctx. scratch is
+	// the engine's reusable working memory (from its NewScratch, owned by
+	// one goroutine at a time; all calls reusing one scratch should pass
+	// the same F-list) or nil for fresh memory. The engine is done with the
+	// caller's projection when the call returns.
+	MineEncoded(ctx context.Context, scratch any, blocks []Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error
 }
 
-// MineCDBContext runs engine under ctx when it supports cancellation, and
-// otherwise falls back to the blocking MineCDB bracketed by boundary checks.
-func MineCDBContext(ctx context.Context, engine CDBMiner, cdb *CDB, minCount int, sink mining.Sink) error {
-	if cm, ok := engine.(ContextCDBMiner); ok {
-		return cm.MineCDBContext(ctx, cdb, minCount, sink)
+// MineEncodedCDB is the MineCDB every EncodedMiner shares: it builds the
+// F-list at minCount, rank-encodes cdb and mines the result from the empty
+// prefix with fresh working memory.
+func MineEncodedCDB(ctx context.Context, e EncodedMiner, cdb *CDB, minCount int, sink mining.Sink) error {
+	if minCount < 1 {
+		return mining.ErrBadMinSupport
 	}
-	if err := ctx.Err(); err != nil {
+	flist := cdb.FList(minCount)
+	if flist.Len() == 0 {
+		return ctx.Err()
+	}
+	blocks, loose := EncodeCDB(cdb, flist)
+	return e.MineEncoded(ctx, nil, blocks, loose, flist, nil, minCount, sink)
+}
+
+// Cancellable brackets one encoded mine with the checks every engine
+// shares: a context already done mines nothing, minCount must be positive,
+// and a cancellation seen by the time mine returns is reported even when
+// the recursion had already finished. mine polls the Canceller it gets
+// (nil, and free to check, when ctx can never be cancelled).
+func Cancellable(ctx context.Context, minCount int, mine func(*mining.Canceller)) error {
+	cancel := mining.NewCanceller(ctx, 0)
+	if err := cancel.Err(); err != nil {
 		return err
 	}
-	if err := engine.MineCDB(cdb, minCount, sink); err != nil {
-		return err
+	if minCount < 1 {
+		return mining.ErrBadMinSupport
 	}
-	return ctx.Err()
+	mine(cancel)
+	return cancel.Err()
 }
 
 // Naive is the paper's naive recycling miner (Figure 3): physical projected
@@ -98,49 +124,18 @@ func EncodeCDB(cdb *CDB, flist *mining.FList) (blocks []Block, loose [][]dataset
 }
 
 // MineCDB implements CDBMiner.
-func (n Naive) MineCDB(cdb *CDB, minCount int, sink mining.Sink) error {
-	return n.mineCDB(cdb, minCount, sink, nil)
+func (n Naive) MineCDB(ctx context.Context, cdb *CDB, minCount int, sink mining.Sink) error {
+	return MineEncodedCDB(ctx, n, cdb, minCount, sink)
 }
 
-// MineCDBContext implements ContextCDBMiner: like MineCDB, but aborts
-// promptly (checked at every node of the projection recursion) when ctx is
-// cancelled or times out.
-func (n Naive) MineCDBContext(ctx context.Context, cdb *CDB, minCount int, sink mining.Sink) error {
-	cancel := mining.NewCanceller(ctx, 0)
-	if err := cancel.Err(); err != nil {
-		return err
-	}
-	if err := n.mineCDB(cdb, minCount, sink, cancel); err != nil {
-		return err
-	}
-	return cancel.Err()
-}
-
-func (n Naive) mineCDB(cdb *CDB, minCount int, sink mining.Sink, cancel *mining.Canceller) error {
-	if minCount < 1 {
-		return mining.ErrBadMinSupport
-	}
-	flist := cdb.FList(minCount)
-	if flist.Len() == 0 {
-		return nil
-	}
-	blocks, loose := EncodeCDB(cdb, flist)
-	m := &rpCtx{flist: flist, min: minCount, sink: sink, decoded: make([]dataset.Item, flist.Len()), noSingle: n.DisableSingleGroup, cancel: cancel}
-	m.mine(blocks, loose, nil)
-	return nil
-}
-
-// MineEncoded mines an already rank-encoded (projected) compressed database
-// whose patterns all extend prefix (given in rank space). Used by the
-// memory-limited driver to mine disk partitions (Figure 3's RP-InMemory on
-// a projected database).
-func (n Naive) MineEncoded(blocks []Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	if minCount < 1 {
-		return mining.ErrBadMinSupport
-	}
-	m := &rpCtx{flist: flist, min: minCount, sink: sink, decoded: make([]dataset.Item, flist.Len()), noSingle: n.DisableSingleGroup}
-	m.mine(blocks, loose, append([]dataset.Item(nil), prefix...))
-	return nil
+// MineEncoded implements EncodedMiner. The naive miner keeps no working
+// memory across calls, so scratch is ignored; the projection recursion
+// checks for cancellation at every node.
+func (n Naive) MineEncoded(ctx context.Context, _ any, blocks []Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
+	return Cancellable(ctx, minCount, func(cancel *mining.Canceller) {
+		m := &rpCtx{flist: flist, min: minCount, sink: sink, decoded: make([]dataset.Item, flist.Len()), noSingle: n.DisableSingleGroup, cancel: cancel}
+		m.mine(blocks, loose, append([]dataset.Item(nil), prefix...))
+	})
 }
 
 type rpCtx struct {

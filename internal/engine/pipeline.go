@@ -327,7 +327,7 @@ func (p *Pipeline) MineRecycling(ctx context.Context, db *dataset.DB, fp []minin
 
 	mineStart := time.Now()
 	p.observeStart(PhaseMine, d.Name)
-	if err := core.MineCDBContext(ctx, eng, cdb, minCount, out); err != nil {
+	if err := eng.MineCDB(ctx, cdb, minCount, out); err != nil {
 		return Run{}, err
 	}
 	p.observeEnd(PhaseMine, d.Name, time.Since(mineStart))

@@ -76,19 +76,6 @@ type Descriptor struct {
 	// Par names the derived parallel variant, empty when the algorithm
 	// cannot run on the worker pool (e.g. apriori, rp-naive).
 	Par string
-	// Context reports native cooperative cancellation (a MineContext /
-	// MineCDBContext entry point); miners without it still honor deadlines
-	// through boundary checks.
-	Context bool
-	// Encoded reports that a recycled engine implements the rank-encoded
-	// entry points (parallel.EncodedCDBMiner) the worker pool drives.
-	Encoded bool
-	// Pooled reports that the engine (or, for par-* variants, the wrapped
-	// serial engine) carries reusable working memory across calls
-	// (parallel.PooledEncodedMiner): the worker pool threads one scratch
-	// per worker through its tasks, so steady-state dispatch allocates
-	// (near) nothing.
-	Pooled bool
 
 	// Miner constructs the fresh miner (Kind == Fresh). The workers
 	// argument follows the parallel package's convention (0 = GOMAXPROCS)
@@ -110,7 +97,7 @@ func init() {
 	serial := []Descriptor{
 		{Name: "apriori", Kind: Fresh, Summary: "level-wise candidate generation; the test oracle",
 			Miner: func(int) mining.Miner { return apriori.New() }},
-		{Name: "hmine", Kind: Fresh, Context: true, Summary: "H-Mine: hyper-structure, pseudo-projection",
+		{Name: "hmine", Kind: Fresh, Summary: "H-Mine: hyper-structure, pseudo-projection",
 			Miner: func(int) mining.Miner { return hmine.New() }},
 		{Name: "fptree", Kind: Fresh, Summary: "FP-growth: prefix-tree projection",
 			Miner: func(int) mining.Miner { return fptree.New() }},
@@ -118,24 +105,14 @@ func init() {
 			Miner: func(int) mining.Miner { return treeproj.New() }},
 		{Name: "eclat", Kind: Fresh, Summary: "Eclat: vertical tid-list intersection",
 			Miner: func(int) mining.Miner { return eclat.New() }},
-		{Name: "rp-naive", Kind: Recycled, Context: true, Summary: "naive RP-Mine over the compressed DB (Figure 3)",
+		{Name: "rp-naive", Kind: Recycled, Summary: "naive RP-Mine over the compressed DB (Figure 3)",
 			Engine: func(int) core.CDBMiner { return core.Naive{} }},
-		{Name: "rp-hmine", Kind: Recycled, Context: true, Encoded: true, Summary: "Recycle-HM: H-Mine over the RP-Struct (§4.1)",
+		{Name: "rp-hmine", Kind: Recycled, Summary: "Recycle-HM: H-Mine over the RP-Struct (§4.1)",
 			Engine: func(int) core.CDBMiner { return rphmine.New() }},
-		{Name: "rp-fptree", Kind: Recycled, Context: true, Encoded: true, Summary: "Recycle-FP: FP-growth with group-head items",
+		{Name: "rp-fptree", Kind: Recycled, Summary: "Recycle-FP: FP-growth with group-head items",
 			Engine: func(int) core.CDBMiner { return rpfptree.New() }},
-		{Name: "rp-treeproj", Kind: Recycled, Context: true, Encoded: true, Summary: "Recycle-TP: Tree Projection over compressed sets",
+		{Name: "rp-treeproj", Kind: Recycled, Summary: "Recycle-TP: Tree Projection over compressed sets",
 			Engine: func(int) core.CDBMiner { return rptreeproj.New() }},
-	}
-
-	// Pooled is detected, not declared: an engine advertises scratch reuse
-	// by implementing parallel.PooledEncodedMiner, and the flag must never
-	// drift from what the worker pool actually sees.
-	for i := range serial {
-		if serial[i].Kind == Recycled && serial[i].Encoded {
-			_, pooled := serial[i].Engine(0).(parallel.PooledEncodedMiner)
-			serial[i].Pooled = pooled
-		}
 	}
 
 	var derived []Descriptor
@@ -153,21 +130,24 @@ func init() {
 
 // derive builds the par-* variant of a serial descriptor when the worker
 // pool can drive it: the fresh H-Mine baseline (parallel.Miner is its
-// pool-shaped form) and every recycled engine with the encoded entry
-// points. The variant's constructors take a pool worker count
+// pool-shaped form) and every recycled engine that implements
+// parallel.Engine. The variant's constructors take a pool worker count
 // (0 = GOMAXPROCS).
 func derive(d Descriptor) (Descriptor, bool) {
 	switch {
 	case d.Kind == Fresh && d.Name == "hmine":
 		return Descriptor{
-			Name: "par-hmine", Kind: Fresh, Base: d.Name, Context: true, Pooled: true,
+			Name: "par-hmine", Kind: Fresh, Base: d.Name,
 			Summary: "H-Mine on a worker pool, one top-level subtree per task",
 			Miner:   func(w int) mining.Miner { return parallel.Miner{Workers: w} },
 		}, true
-	case d.Kind == Recycled && d.Encoded:
+	case d.Kind == Recycled:
+		if _, ok := d.Engine(0).(parallel.Engine); !ok {
+			return Descriptor{}, false
+		}
 		serial := d.Engine
 		return Descriptor{
-			Name: "par-" + d.Name, Kind: Recycled, Base: d.Name, Context: true, Encoded: true, Pooled: d.Pooled,
+			Name: "par-" + d.Name, Kind: Recycled, Base: d.Name,
 			Summary: d.Name + " subtrees fanned out to a worker pool",
 			Engine:  func(w int) core.CDBMiner { return parallel.Wrap(serial(0), w) },
 		}, true

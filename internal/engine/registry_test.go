@@ -13,10 +13,12 @@ import (
 	"testing"
 
 	"gogreen/internal/apriori"
+	"gogreen/internal/core"
 	"gogreen/internal/dataset"
 	"gogreen/internal/engine"
 	"gogreen/internal/mining"
 	"gogreen/internal/parallel"
+	"gogreen/internal/testutil"
 )
 
 // randomDB builds a seeded random basket database: numTx transactions over
@@ -163,33 +165,22 @@ func TestRegistryInvariants(t *testing.T) {
 			t.Errorf("%s: recycled constructor errs = (%v, %v)", name, minerErr, engineErr)
 		}
 	}
-	// Capability flags must not drift from what the constructors return:
-	// Encoded ⇔ the engine implements the rank-encoded entry points,
-	// Pooled ⇔ it additionally carries reusable scratch (for par-* variants,
-	// the flag describes the wrapped serial engine). rp-fptree further
-	// supports shared-tree task mining, which the wrapper detects by
-	// interface — pin that too so a refactor can't silently lose it.
+	// A serial recycled engine has a par-* variant exactly when the worker
+	// pool can drive it (parallel.Engine); rp-naive cannot. rp-fptree
+	// further supports shared-tree task mining, which the wrapper detects
+	// by interface — pin that too so a refactor can't silently lose it.
 	for _, name := range names {
 		d, _ := engine.Lookup(name)
-		if d.Kind != engine.Recycled {
+		if d.Kind != engine.Recycled || d.Base != "" {
 			continue
 		}
-		eng := d.Engine(0)
-		if d.Base != "" {
-			b, _ := engine.Lookup(d.Base)
-			eng = b.Engine(0) // flags describe the serial engine under the wrapper
+		_, pooled := d.Engine(0).(parallel.Engine)
+		if pooled != (d.Par != "") {
+			t.Errorf("%s: Par=%q but engine implements parallel.Engine=%v", name, d.Par, pooled)
 		}
-		_, encoded := eng.(parallel.EncodedCDBMiner)
-		if encoded != d.Encoded {
-			t.Errorf("%s: Encoded=%v but engine implements EncodedCDBMiner=%v", name, d.Encoded, encoded)
-		}
-		_, pooled := eng.(parallel.PooledEncodedMiner)
-		if pooled != d.Pooled {
-			t.Errorf("%s: Pooled=%v but engine implements PooledEncodedMiner=%v", name, d.Pooled, pooled)
-		}
-		if d.Encoded && !d.Pooled {
-			t.Errorf("%s: encoded engine without scratch reuse; pool dispatch would allocate per task", name)
-		}
+	}
+	if d, _ := engine.Lookup("rp-naive"); d.Par != "" {
+		t.Errorf("rp-naive gained a parallel variant %q", d.Par)
 	}
 	for _, name := range []string{"rp-fptree", "par-rp-fptree"} {
 		d, _ := engine.Lookup(name)
@@ -209,5 +200,64 @@ func TestRegistryInvariants(t *testing.T) {
 	}
 	if _, err := engine.NewEngine("no-such-algorithm", 0); err == nil {
 		t.Error("NewEngine accepted an unknown name")
+	}
+}
+
+// TestRecycledEngines runs the engine-agnostic suite (Apriori oracle cases,
+// argument checks and cancellation) over every recycled registry entry:
+// rp-naive, the rp-* engines and their par-* variants.
+func TestRecycledEngines(t *testing.T) {
+	checks := []struct {
+		name  string
+		check func(*testing.T, core.CDBMiner)
+	}{
+		{"PaperExample", testutil.EnginePaperExample},
+		{"Randomized", testutil.EngineRandomized},
+		{"NoRecycledPatterns", testutil.EngineNoRecycledPatterns},
+		{"DenseSingleGroup", testutil.EngineDenseSingleGroup},
+		{"BadMinSupport", testutil.EngineBadMinSupport},
+		{"EmptyCDB", testutil.EngineEmptyCDB},
+		{"PreCancelled", checkPreCancelled},
+		{"CancelledBySink", checkCancelledBySink},
+	}
+	for _, d := range engine.Descriptors() {
+		if d.Kind != engine.Recycled {
+			continue
+		}
+		for _, c := range checks {
+			t.Run(d.Name+"/"+c.name, func(t *testing.T) { c.check(t, d.Engine(2)) })
+		}
+	}
+}
+
+// paperCDB is the paper's example compressed with its ξ_old = 3 patterns.
+func paperCDB(t *testing.T) *core.CDB {
+	db := testutil.PaperDB()
+	return core.Compress(db, testutil.Oracle(t, db, 3).Slice(), core.MCP)
+}
+
+// checkPreCancelled: a context cancelled before the call makes MineCDB
+// return its error and emit nothing.
+func checkPreCancelled(t *testing.T, eng core.CDBMiner) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var c mining.Count
+	if err := eng.MineCDB(ctx, paperCDB(t), 1, &c); err != context.Canceled {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if c.N != 0 {
+		t.Errorf("emitted %d patterns under a cancelled context", c.N)
+	}
+}
+
+// checkCancelledBySink: a cancellation that lands during the mine, here
+// from the sink's first Emit, is reported even when the recursion finishes
+// (the final boundary check).
+func checkCancelledBySink(t *testing.T, eng core.CDBMiner) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sink := mining.SinkFunc(func([]dataset.Item, int) { cancel() })
+	if err := eng.MineCDB(ctx, paperCDB(t), 1, sink); err != context.Canceled {
+		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }

@@ -68,42 +68,27 @@ func mineDB(db *dataset.DB, minCount int, sink mining.Sink, cancel *mining.Cance
 	return mineProjected(hs, flist, nil, minCount, sink, cancel, nil)
 }
 
-// MineProjected mines an already rank-encoded (projected) database whose
-// patterns all extend prefix (in rank space). Used by the memory-limited
-// driver to mine disk partitions with the H-Mine engine.
-func MineProjected(tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	return mineProjected(tx, flist, prefix, minCount, sink, nil, nil)
-}
-
-// MineProjectedContext is MineProjected with cooperative cancellation: the
-// recursion aborts promptly when ctx is cancelled or times out, returning the
-// context's error. Used by the parallel miner, whose workers each mine one
-// independent subtree under the caller's context.
-func MineProjectedContext(c context.Context, tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	cancel := mining.NewCanceller(c, 0)
-	if err := cancel.Err(); err != nil {
-		return err
-	}
-	return mineProjected(tx, flist, prefix, minCount, sink, cancel, nil)
-}
-
 // Scratch is reusable H-Mine working memory: the level pool, decode buffer,
 // and suffix/prefix scratch a mine builds up. A parallel worker holds one
-// Scratch and threads it through consecutive MineProjectedScratch calls, so
+// Scratch and threads it through consecutive MineProjected calls, so
 // steady-state task dispatch costs (near) zero allocations. A Scratch is
 // owned by one goroutine at a time and must not be shared concurrently.
 type Scratch struct {
 	m ctx
 }
 
-// NewScratch returns an empty Scratch ready for MineProjectedScratch.
+// NewScratch returns an empty Scratch ready for MineProjected.
 func NewScratch() *Scratch { return &Scratch{} }
 
-// MineProjectedScratch is MineProjectedContext mining through sc's recycled
-// buffers. All calls reusing one Scratch must pass the same F-list width
-// (the pooled header tables are width-sized); a width change resets the
-// pool.
-func MineProjectedScratch(c context.Context, sc *Scratch, tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
+// MineProjected mines an already rank-encoded (projected) database whose
+// patterns all extend prefix (in rank space), through sc's recycled buffers
+// (nil means fresh memory). All calls reusing one Scratch must pass the
+// same F-list width (the pooled header tables are width-sized); a width
+// change resets the pool. The recursion aborts promptly when ctx is
+// cancelled or times out, returning the context's error. Used by the
+// memory-limited driver for disk partitions and by the parallel miner for
+// its subtrees.
+func MineProjected(c context.Context, sc *Scratch, tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	cancel := mining.NewCanceller(c, 0)
 	if err := cancel.Err(); err != nil {
 		return err

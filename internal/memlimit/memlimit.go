@@ -13,6 +13,7 @@
 package memlimit
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -37,9 +38,9 @@ type Config struct {
 	// TempDir is the directory for partition spill files; "" means the
 	// system temp dir.
 	TempDir string
-	// Engine selects the leaf miner for compressed partitions: "rp-hmine"
-	// (default) or "rp-naive".
-	Engine string
+	// Engine mines the compressed partitions that fit the budget; nil
+	// means Recycle-HM.
+	Engine core.EncodedMiner
 }
 
 // bytesPerItem is the in-memory cost of one stored item cell (the item
@@ -150,6 +151,9 @@ func newDriver(cfg Config) (*driver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("memlimit: %w", err)
 	}
+	if cfg.Engine == nil {
+		cfg.Engine = rphmine.New()
+	}
 	return &driver{cfg: cfg, dir: dir}, nil
 }
 
@@ -163,10 +167,7 @@ func (d *driver) partPath() string {
 // mineCDB handles one (projected) compressed database.
 func (d *driver) mineCDB(blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	if EstimateCDBBytes(blocks, loose) <= d.cfg.Budget {
-		if d.cfg.Engine == "rp-naive" {
-			return core.Naive{}.MineEncoded(blocks, loose, flist, prefix, minCount, sink)
-		}
-		return rphmine.Miner{}.MineEncoded(blocks, loose, flist, prefix, minCount, sink)
+		return d.cfg.Engine.MineEncoded(context.TODO(), nil, blocks, loose, flist, prefix, minCount, sink)
 	}
 
 	// Over budget: parallel-project to disk, one partition per frequent
@@ -285,7 +286,7 @@ func (d *driver) mineCDB(blocks []core.Block, loose [][]dataset.Item, flist *min
 // mineDB handles one (projected) uncompressed database.
 func (d *driver) mineDB(tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	if EstimateTxBytes(tx) <= d.cfg.Budget {
-		return hmine.MineProjected(tx, flist, prefix, minCount, sink)
+		return hmine.MineProjected(context.TODO(), nil, tx, flist, prefix, minCount, sink)
 	}
 	counts := make(map[dataset.Item]int)
 	for _, t := range tx {

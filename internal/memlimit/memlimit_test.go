@@ -1,6 +1,7 @@
 package memlimit_test
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,11 +11,14 @@ import (
 	"gogreen/internal/dataset"
 	"gogreen/internal/memlimit"
 	"gogreen/internal/mining"
+	"gogreen/internal/rpfptree"
+	"gogreen/internal/rphmine"
+	"gogreen/internal/rptreeproj"
 	"gogreen/internal/testutil"
 )
 
 // mineLimited runs the memory-limited compressed miner and returns the set.
-func mineLimited(t *testing.T, cdb *core.CDB, min int, budget int64, engine string) mining.PatternSet {
+func mineLimited(t *testing.T, cdb *core.CDB, min int, budget int64, engine core.EncodedMiner) mining.PatternSet {
 	t.Helper()
 	var c mining.Collector
 	if err := memlimit.MineCDB(cdb, min, memlimit.Config{Budget: budget, TempDir: t.TempDir(), Engine: engine}, &c); err != nil {
@@ -27,6 +31,9 @@ func mineLimited(t *testing.T, cdb *core.CDB, min int, budget int64, engine stri
 	return s
 }
 
+// leafEngines are the serial engines memlimit can mine partitions with.
+var leafEngines = []core.EncodedMiner{core.Naive{}, rphmine.New(), rpfptree.New(), rptreeproj.New()}
+
 // TestTinyBudgetMatchesOracle forces deep disk partitioning by using budgets
 // far below the data size; results must still match Apriori exactly.
 func TestTinyBudgetMatchesOracle(t *testing.T) {
@@ -38,15 +45,42 @@ func TestTinyBudgetMatchesOracle(t *testing.T) {
 		for _, min := range []int{2, 3} {
 			want := testutil.Oracle(t, db, min)
 			for _, budget := range []int64{1 << 30, 4096, 512} {
-				for _, engine := range []string{"rp-hmine", "rp-naive"} {
+				for _, engine := range leafEngines {
 					got := mineLimited(t, cdb, min, budget, engine)
 					if !got.Equal(want) {
 						t.Fatalf("budget=%d engine=%s min=%d: %v",
-							budget, engine, min, got.Diff(want, 10))
+							budget, engine.Name(), min, got.Diff(want, 10))
 					}
 				}
 			}
 		}
+	}
+}
+
+// countingEngine counts the partitions an engine mined.
+type countingEngine struct {
+	core.EncodedMiner
+	calls int
+}
+
+func (c *countingEngine) MineEncoded(ctx context.Context, sc any, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
+	c.calls++
+	return c.EncodedMiner.MineEncoded(ctx, sc, blocks, loose, flist, prefix, minCount, sink)
+}
+
+// TestPartitionsMinedWithConfiguredEngine: the engine a run names mines
+// the partitions that fit, rather than a fixed default.
+func TestPartitionsMinedWithConfiguredEngine(t *testing.T) {
+	r := rand.New(rand.NewSource(53))
+	db := testutil.RandomDB(r, 80, 12, 7)
+	cdb := core.Compress(db, testutil.Oracle(t, db, 4).Slice(), core.MCP)
+	eng := &countingEngine{EncodedMiner: rpfptree.New()}
+	got := mineLimited(t, cdb, 2, 512, eng)
+	if eng.calls == 0 {
+		t.Fatal("rp-fptree mined no partition")
+	}
+	if want := testutil.Oracle(t, db, 2); !got.Equal(want) {
+		t.Fatalf("%v", got.Diff(want, 10))
 	}
 }
 
@@ -82,7 +116,7 @@ func TestPaperExampleUnderLimit(t *testing.T) {
 	fp := testutil.Oracle(t, db, 3).Slice()
 	cdb := core.Compress(db, fp, core.MCP)
 	want := testutil.Oracle(t, db, 2)
-	got := mineLimited(t, cdb, 2, 64, "rp-hmine")
+	got := mineLimited(t, cdb, 2, 64, nil)
 	if !got.Equal(want) {
 		t.Fatalf("paper example under 64B budget: %v", got.Diff(want, 20))
 	}

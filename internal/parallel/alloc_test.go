@@ -82,12 +82,12 @@ func TestScratchMiningAllocs(t *testing.T) {
 	blocks, loose := core.EncodeCDB(cdb, flist)
 	ctx := context.Background()
 
-	for _, eng := range []PooledEncodedMiner{rphmine.New(), rpfptree.New(), rptreeproj.New()} {
+	for _, eng := range []Engine{rphmine.New(), rpfptree.New(), rptreeproj.New()} {
 		t.Run(eng.Name(), func(t *testing.T) {
 			sc := eng.NewScratch()
 			var count mining.Count
 			run := func() {
-				if err := eng.MineEncodedScratch(ctx, sc, blocks, loose, flist, nil, min, &count); err != nil {
+				if err := eng.MineEncoded(ctx, sc, blocks, loose, flist, nil, min, &count); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -117,17 +117,17 @@ func TestOneWorkerDispatchAllocs(t *testing.T) {
 	cdb := core.Compress(db, nil, core.MCP)
 	const min = 2
 
-	for _, eng := range []EncodedCDBMiner{rphmine.New(), rpfptree.New(), rptreeproj.New()} {
+	for _, eng := range []Engine{rphmine.New(), rpfptree.New(), rptreeproj.New()} {
 		t.Run(eng.Name(), func(t *testing.T) {
 			var count mining.Count
 			serial := testing.AllocsPerRun(20, func() {
-				if err := eng.MineCDB(cdb, min, &count); err != nil {
+				if err := eng.MineCDB(context.Background(), cdb, min, &count); err != nil {
 					t.Fatal(err)
 				}
 			})
 			wrapped := cdbMiner{workers: 1, engine: eng}
 			par := testing.AllocsPerRun(20, func() {
-				if err := wrapped.MineCDB(cdb, min, &count); err != nil {
+				if err := wrapped.MineCDB(context.Background(), cdb, min, &count); err != nil {
 					t.Fatal(err)
 				}
 			})

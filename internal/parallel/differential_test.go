@@ -40,8 +40,8 @@ func workerGrid() []int {
 }
 
 // engines lists the three recycled miners the parallel wrapper covers.
-func engines() []parallel.EncodedCDBMiner {
-	return []parallel.EncodedCDBMiner{rphmine.New(), rpfptree.New(), rptreeproj.New()}
+func engines() []parallel.Engine {
+	return []parallel.Engine{rphmine.New(), rpfptree.New(), rptreeproj.New()}
 }
 
 // TestParallelDifferentialPresets proves every parallel wrapper emits the
@@ -151,7 +151,7 @@ func TestParallelCancelMidMine(t *testing.T) {
 		wrappers = append(wrappers, wrapper{
 			name: w.Name(),
 			mine: func(ctx context.Context, sink mining.Sink) error {
-				return core.MineCDBContext(ctx, w, cdb, 1, sink)
+				return w.MineCDB(ctx, cdb, 1, sink)
 			},
 		})
 	}
@@ -257,7 +257,7 @@ func TestParallelSinkCopyContract(t *testing.T) {
 			pw := parallel.Wrap(eng, w)
 			wrappers = append(wrappers, wrapper{
 				name: fmt.Sprintf("%s-%dw", pw.Name(), w),
-				mine: func(sink mining.Sink) error { return pw.MineCDB(cdb, 1, sink) },
+				mine: func(sink mining.Sink) error { return pw.MineCDB(context.Background(), cdb, 1, sink) },
 			})
 		}
 	}

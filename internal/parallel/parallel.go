@@ -15,7 +15,7 @@
 // pool, so skewed top-level subtrees no longer serialize on one worker.
 //
 // Task dispatch is allocation-lean: every worker owns a scratch state — the
-// engine's recycled working memory (PooledEncodedMiner), a pooled projection
+// engine's recycled working memory (Engine.NewScratch), a pooled projection
 // buffer, and a local emission batch flushed to the shared sink under one
 // lock acquisition per task — so the steady path costs (near) zero
 // allocations per task and no per-pattern mutex traffic. Engines that
@@ -129,7 +129,7 @@ func (m Miner) mine(ctx context.Context, db *dataset.DB, minCount int, sink mini
 				ws.proj = proj
 				ws.prefix = append(ws.prefix[:0], dataset.Item(r))
 				if !split {
-					return hmine.MineProjectedScratch(c, ws.scratch, proj, flist, ws.prefix, minCount, &ws.batch)
+					return hmine.MineProjected(c, ws.scratch, proj, flist, ws.prefix, minCount, &ws.batch)
 				}
 				return splitProjected(c, p, states, proj, flist, ws.prefix, minCount, &ws.batch)
 			})
@@ -174,7 +174,7 @@ func splitProjected(c context.Context, p *pool, states []*hWorkerState, proj [][
 		p.submit(func(c context.Context, wid int) error {
 			ws := states[wid]
 			defer ws.batch.flush()
-			return hmine.MineProjectedScratch(c, ws.scratch, sub, flist, subPrefix, minCount, &ws.batch)
+			return hmine.MineProjected(c, ws.scratch, sub, flist, subPrefix, minCount, &ws.batch)
 		})
 	}
 	return nil
@@ -232,41 +232,27 @@ func rankIndex(t []dataset.Item, r dataset.Item) int {
 	return -1
 }
 
-// EncodedCDBMiner is the engine contract the parallel CDB wrapper drives:
-// a compressed-database miner that can also mine an already rank-encoded
-// projection under a prefix, with and without a context. Satisfied by the
-// Recycle-HM, Recycle-FP and Recycle-TP engines.
-type EncodedCDBMiner interface {
-	core.CDBMiner
-	MineEncoded(blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error
-	MineEncodedContext(ctx context.Context, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error
-}
-
-// PooledEncodedMiner is an EncodedCDBMiner whose working memory survives
-// across calls: NewScratch allocates it once per worker, and
-// MineEncodedScratch mines through it. A scratch is owned by one goroutine
-// at a time; the engine must be done with the caller's projection when the
-// call returns (so the wrapper may reuse its projection buffers), and all
-// calls reusing one scratch should pass the same F-list. All three rp-*
-// engines satisfy this.
-type PooledEncodedMiner interface {
-	EncodedCDBMiner
+// Engine is the contract the parallel CDB wrapper drives: an encoded
+// miner whose working memory survives across calls. NewScratch allocates
+// it once per worker, and every task's MineEncoded mines through it. All
+// three rp-* engines satisfy this.
+type Engine interface {
+	core.EncodedMiner
 	NewScratch() any
-	MineEncodedScratch(ctx context.Context, scratch any, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error
 }
 
-// SharedTaskMiner is a PooledEncodedMiner that can decompose a mine into
-// per-item tasks against one shared read-only structure instead of per-task
+// SharedTaskMiner is an Engine that can decompose a mine into per-item
+// tasks against one shared read-only structure instead of per-task
 // re-projection. PrepareShared builds the structure and returns the task
 // items (a nil shared value means a whole-projection shortcut applies and
-// the caller should mine serially via MineEncodedScratch); MineSharedTask
-// mines one task, emitting the task item's own pattern too, and is safe to
-// call concurrently with distinct scratches against one shared value.
+// the caller should mine serially via MineEncoded); MineSharedTask mines
+// one task, emitting the task item's own pattern too, and is safe to call
+// concurrently with distinct scratches against one shared value.
 // Recycle-FP satisfies this: rebuilding a prefix tree per task destroyed
 // the prefix sharing that makes FP-growth fast, so its parallel mode builds
 // the tree once.
 type SharedTaskMiner interface {
-	PooledEncodedMiner
+	Engine
 	PrepareShared(blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, minCount int) (shared any, tasks []dataset.Item)
 	MineSharedTask(ctx context.Context, scratch, shared any, task dataset.Item, prefix []dataset.Item, sink mining.Sink) error
 }
@@ -275,7 +261,7 @@ type SharedTaskMiner interface {
 // pooled projection buffers, a prefix buffer, and the local emission batch.
 // Owned by exactly one worker goroutine.
 type workerState struct {
-	scratch any // non-nil iff the engine is a PooledEncodedMiner
+	scratch any
 	proj    core.ProjScratch
 	prefix  []dataset.Item
 	batch   batchSink
@@ -285,14 +271,14 @@ type workerState struct {
 // subtrees out to worker goroutines, each mined by engine.
 type cdbMiner struct {
 	workers int // goroutine count; 0 means GOMAXPROCS
-	engine  EncodedCDBMiner
+	engine  Engine
 }
 
-// Wrap returns a parallel wrapper around engine when it supports encoded
-// projections, or engine unchanged otherwise (e.g. rp-naive). Workers is
-// the goroutine count; 0 means GOMAXPROCS.
+// Wrap returns a parallel wrapper around engine when it is an Engine, or
+// engine unchanged otherwise (e.g. rp-naive). Workers is the goroutine
+// count; 0 means GOMAXPROCS.
 func Wrap(engine core.CDBMiner, workers int) core.CDBMiner {
-	if e, ok := engine.(EncodedCDBMiner); ok {
+	if e, ok := engine.(Engine); ok {
 		return cdbMiner{workers: workers, engine: e}
 	}
 	return engine
@@ -301,26 +287,20 @@ func Wrap(engine core.CDBMiner, workers int) core.CDBMiner {
 // Name implements core.CDBMiner.
 func (m cdbMiner) Name() string { return "par-" + m.engine.Name() }
 
-// MineCDB implements core.CDBMiner.
-func (m cdbMiner) MineCDB(cdb *core.CDB, minCount int, sink mining.Sink) error {
-	return m.mineCDB(context.Background(), cdb, minCount, sink)
-}
-
-// MineCDBContext implements core.ContextCDBMiner: like MineCDB, but the
-// pool stops dispatching and in-flight workers abort promptly when ctx is
-// cancelled or times out, returning the context's error.
-func (m cdbMiner) MineCDBContext(ctx context.Context, cdb *core.CDB, minCount int, sink mining.Sink) error {
-	return m.mineCDB(ctx, cdb, minCount, sink)
-}
-
-func (m cdbMiner) mineCDB(ctx context.Context, cdb *core.CDB, minCount int, sink mining.Sink) error {
+// MineCDB implements core.CDBMiner: the pool stops dispatching and
+// in-flight workers abort promptly when ctx is cancelled or times out,
+// returning the context's error.
+func (m cdbMiner) MineCDB(ctx context.Context, cdb *core.CDB, minCount int, sink mining.Sink) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	if minCount < 1 {
 		return mining.ErrBadMinSupport
 	}
 	eng := m.engine
 	flist := cdb.FList(minCount)
 	if flist.Len() == 0 {
-		return nil
+		return ctx.Err()
 	}
 	blocks, loose := core.EncodeCDB(cdb, flist)
 	safe := &lockedSink{sink: sink}
@@ -329,14 +309,9 @@ func (m cdbMiner) mineCDB(ctx context.Context, cdb *core.CDB, minCount int, sink
 	workers := resolveWorkers(m.workers, n)
 	split := n < splitFactor*workers
 
-	pooled, _ := eng.(PooledEncodedMiner)
 	states := make([]*workerState, workers)
 	for i := range states {
-		ws := &workerState{batch: batchSink{dst: safe}}
-		if pooled != nil {
-			ws.scratch = pooled.NewScratch()
-		}
-		states[i] = ws
+		states[i] = &workerState{scratch: eng.NewScratch(), batch: batchSink{dst: safe}}
 	}
 
 	// Shared-task mode: one read-only structure, one task per top-level
@@ -351,7 +326,7 @@ func (m cdbMiner) mineCDB(ctx context.Context, cdb *core.CDB, minCount int, sink
 				p.submit(func(c context.Context, wid int) error {
 					ws := states[wid]
 					defer ws.batch.flush()
-					return stm.MineEncodedScratch(c, ws.scratch, blocks, loose, flist, nil, minCount, &ws.batch)
+					return stm.MineEncoded(c, ws.scratch, blocks, loose, flist, nil, minCount, &ws.batch)
 				})
 			})
 		}
@@ -377,7 +352,7 @@ func (m cdbMiner) mineCDB(ctx context.Context, cdb *core.CDB, minCount int, sink
 				ws.batch.Emit(buf[:], flist.Support[r])
 				var subBlocks []core.Block
 				var subLoose [][]dataset.Item
-				if !split && pooled != nil {
+				if !split {
 					// The engine is done with the projection when the call
 					// returns, so it may live in the worker's scratch slab.
 					subBlocks, subLoose = ws.proj.Project(blocks, loose, dataset.Item(r))
@@ -392,10 +367,7 @@ func (m cdbMiner) mineCDB(ctx context.Context, cdb *core.CDB, minCount int, sink
 				}
 				ws.prefix = append(ws.prefix[:0], dataset.Item(r))
 				if !split {
-					if pooled != nil {
-						return pooled.MineEncodedScratch(c, ws.scratch, subBlocks, subLoose, flist, ws.prefix, minCount, &ws.batch)
-					}
-					return eng.MineEncodedContext(c, subBlocks, subLoose, flist, ws.prefix, minCount, &ws.batch)
+					return eng.MineEncoded(c, ws.scratch, subBlocks, subLoose, flist, ws.prefix, minCount, &ws.batch)
 				}
 				return splitEncoded(c, p, eng, states, subBlocks, subLoose, flist, ws.prefix, minCount, &ws.batch)
 			})
@@ -408,7 +380,7 @@ func (m cdbMiner) mineCDB(ctx context.Context, cdb *core.CDB, minCount int, sink
 // weight, tail and loose occurrences at one. Subtask projections outlive
 // this call, so core.Project allocates them fresh — their item data aliases
 // only the immortal root encoding.
-func splitEncoded(c context.Context, p *pool, eng EncodedCDBMiner, states []*workerState, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
+func splitEncoded(c context.Context, p *pool, eng Engine, states []*workerState, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	counts := make([]int, flist.Len())
 	for i := range blocks {
 		b := &blocks[i]
@@ -426,7 +398,6 @@ func splitEncoded(c context.Context, p *pool, eng EncodedCDBMiner, states []*wor
 			counts[it]++
 		}
 	}
-	pooled, _ := eng.(PooledEncodedMiner)
 	buf := append(append([]dataset.Item(nil), prefix...), 0)
 	decoded := make([]dataset.Item, len(buf))
 	for r2 := range counts {
@@ -446,10 +417,7 @@ func splitEncoded(c context.Context, p *pool, eng EncodedCDBMiner, states []*wor
 		p.submit(func(c context.Context, wid int) error {
 			ws := states[wid]
 			defer ws.batch.flush()
-			if pooled != nil {
-				return pooled.MineEncodedScratch(c, ws.scratch, subBlocks, subLoose, flist, subPrefix, minCount, &ws.batch)
-			}
-			return eng.MineEncodedContext(c, subBlocks, subLoose, flist, subPrefix, minCount, &ws.batch)
+			return eng.MineEncoded(c, ws.scratch, subBlocks, subLoose, flist, subPrefix, minCount, &ws.batch)
 		})
 	}
 	return nil
@@ -504,7 +472,8 @@ func (p *pool) submit(task func(context.Context, int) error) {
 
 // runPool runs the tasks seeded by seed (plus any they submit) on workers
 // goroutines, returning the first task error, or the context's error when
-// ctx was cancelled.
+// ctx was cancelled. The calling goroutine is worker 0, so a 1-worker pool
+// mines without handing its tasks to another goroutine (and core).
 func runPool(ctx context.Context, workers int, seed func(*pool)) error {
 	inner, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -513,13 +482,14 @@ func runPool(ctx context.Context, workers int, seed func(*pool)) error {
 	seed(p)
 
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(wid int) {
 			defer wg.Done()
 			p.work(wid)
 		}(w)
 	}
+	p.work(0)
 	wg.Wait()
 
 	if p.err != nil {

@@ -1,6 +1,7 @@
 package parallel_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -52,10 +53,10 @@ func TestParallelEdgeCases(t *testing.T) {
 		t.Errorf("empty db: %v", err)
 	}
 	cdb := core.Compress(dataset.New(nil), nil, core.MCP)
-	if err := parallel.Wrap(rphmine.New(), 0).MineCDB(cdb, 0, sink); err != mining.ErrBadMinSupport {
+	if err := parallel.Wrap(rphmine.New(), 0).MineCDB(context.Background(), cdb, 0, sink); err != mining.ErrBadMinSupport {
 		t.Errorf("got %v", err)
 	}
-	if err := parallel.Wrap(rphmine.New(), 0).MineCDB(cdb, 1, sink); err != nil {
+	if err := parallel.Wrap(rphmine.New(), 0).MineCDB(context.Background(), cdb, 1, sink); err != nil {
 		t.Errorf("empty cdb: %v", err)
 	}
 }

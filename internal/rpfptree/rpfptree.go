@@ -268,78 +268,27 @@ func (tr *tree) insert(group int32, tail []dataset.Item, count int) {
 	}
 }
 
-// MineCDB implements core.CDBMiner.
-func (Miner) MineCDB(cdb *core.CDB, minCount int, sink mining.Sink) error {
-	return mineCDB(cdb, minCount, sink, nil)
+// MineCDB implements core.CDBMiner; the FP-growth recursion checks for
+// cancellation at every conditional tree and every header item.
+func (e Miner) MineCDB(c context.Context, cdb *core.CDB, minCount int, sink mining.Sink) error {
+	return core.MineEncodedCDB(c, e, cdb, minCount, sink)
 }
 
-// MineCDBContext implements core.ContextCDBMiner: like MineCDB, but aborts
-// promptly (checked at every conditional tree and every header item) when
-// ctx is cancelled or times out.
-func (Miner) MineCDBContext(c context.Context, cdb *core.CDB, minCount int, sink mining.Sink) error {
-	cancel := mining.NewCanceller(c, 0)
-	if err := cancel.Err(); err != nil {
-		return err
-	}
-	if err := mineCDB(cdb, minCount, sink, cancel); err != nil {
-		return err
-	}
-	return cancel.Err()
-}
-
-func mineCDB(cdb *core.CDB, minCount int, sink mining.Sink, cancel *mining.Canceller) error {
-	if minCount < 1 {
-		return mining.ErrBadMinSupport
-	}
-	flist := cdb.FList(minCount)
-	if flist.Len() == 0 {
-		return nil
-	}
-	blocks, loose := core.EncodeCDB(cdb, flist)
-	return mineEncoded(blocks, loose, flist, nil, minCount, sink, cancel)
-}
-
-// MineEncoded mines an already rank-encoded (projected) compressed database
-// whose patterns all extend prefix (in rank space) with the Recycle-FP
-// engine: the projected blocks become a compressed conditional tree.
-func (Miner) MineEncoded(blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	return mineEncoded(blocks, loose, flist, prefix, minCount, sink, nil)
-}
-
-// MineEncodedContext is MineEncoded with cooperative cancellation: the
-// FP-growth recursion aborts promptly when ctx is cancelled or times out,
-// returning the context's error. Used by the parallel CDB wrapper, whose
-// workers each mine one independent projected subtree under the caller's
-// context (a Canceller is not goroutine-safe, so every subtree gets its own).
-func (Miner) MineEncodedContext(c context.Context, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	cancel := mining.NewCanceller(c, 0)
-	if err := cancel.Err(); err != nil {
-		return err
-	}
-	if err := mineEncoded(blocks, loose, flist, prefix, minCount, sink, cancel); err != nil {
-		return err
-	}
-	return cancel.Err()
-}
-
-// NewScratch implements the parallel wrapper's pooled-miner contract: the
-// returned value holds the engine's reusable working memory (node arena,
-// tree pool, counting and prefix buffers) and may be threaded through
-// consecutive MineEncodedScratch / MineSharedTask calls by one goroutine.
+// NewScratch returns the engine's reusable working memory (node arena,
+// tree pool, counting and prefix buffers) for MineEncoded and
+// MineSharedTask.
 func (Miner) NewScratch() any { return &ctx{} }
 
-// MineEncodedScratch is MineEncodedContext mining through sc's recycled
-// buffers (sc must come from NewScratch). All calls reusing one scratch
-// should pass the same F-list; a width change resets the pooled tables.
-func (Miner) MineEncodedScratch(c context.Context, sc any, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	cancel := mining.NewCanceller(c, 0)
-	if err := cancel.Err(); err != nil {
-		return err
+// MineEncoded implements core.EncodedMiner: the projected blocks become a
+// compressed conditional tree.
+func (Miner) MineEncoded(c context.Context, sc any, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
+	m, _ := sc.(*ctx)
+	if m == nil {
+		m = &ctx{}
 	}
-	if err := mineEncodedInto(sc.(*ctx), blocks, loose, flist, prefix, minCount, sink, cancel); err != nil {
-		return err
-	}
-	return cancel.Err()
+	return core.Cancellable(c, minCount, func(cancel *mining.Canceller) {
+		mineEncodedInto(m, blocks, loose, flist, prefix, minCount, sink, cancel)
+	})
 }
 
 // buildTree inserts a rank-encoded compressed projection into tr.
@@ -360,14 +309,7 @@ func buildTree(tr *tree, blocks []core.Block, loose [][]dataset.Item) {
 	}
 }
 
-func mineEncoded(blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink, cancel *mining.Canceller) error {
-	return mineEncodedInto(&ctx{}, blocks, loose, flist, prefix, minCount, sink, cancel)
-}
-
-func mineEncodedInto(m *ctx, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink, cancel *mining.Canceller) error {
-	if minCount < 1 {
-		return mining.ErrBadMinSupport
-	}
+func mineEncodedInto(m *ctx, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink, cancel *mining.Canceller) {
 	m.reset(flist, minCount, sink, cancel)
 	mk := m.arena.mark()
 	tr := m.getTree()
@@ -376,7 +318,6 @@ func mineEncodedInto(m *ctx, blocks []core.Block, loose [][]dataset.Item, flist 
 	m.putTree(tr)
 	m.arena.release(mk)
 	m.sink, m.cancel = nil, nil
-	return nil
 }
 
 // sharedTree is the fan-out state PrepareShared hands to concurrent
@@ -435,16 +376,13 @@ func (Miner) PrepareShared(blocks []core.Block, loose [][]dataset.Item, flist *m
 func (Miner) MineSharedTask(c context.Context, sc, shared any, task dataset.Item, prefix []dataset.Item, sink mining.Sink) error {
 	st := shared.(*sharedTree)
 	m := sc.(*ctx)
-	cancel := mining.NewCanceller(c, 0)
-	if err := cancel.Err(); err != nil {
-		return err
-	}
-	m.reset(st.flist, st.min, sink, cancel)
-	mk := m.arena.mark()
-	m.mineItem(st.tr, task, append(append(m.prefix[:0], prefix...), 0))
-	m.arena.release(mk)
-	m.sink, m.cancel = nil, nil
-	return cancel.Err()
+	return core.Cancellable(c, st.min, func(cancel *mining.Canceller) {
+		m.reset(st.flist, st.min, sink, cancel)
+		mk := m.arena.mark()
+		m.mineItem(st.tr, task, append(append(m.prefix[:0], prefix...), 0))
+		m.arena.release(mk)
+		m.sink, m.cancel = nil, nil
+	})
 }
 
 type ctx struct {
@@ -543,9 +481,13 @@ func (m *ctx) growth(tr *tree, prefix []dataset.Item) {
 		return
 	}
 	// Lemma 3.1 shortcut: the whole tree is one group-head node with no
-	// outlying subtree — enumerate combinations of the group pattern.
+	// outlying subtree — enumerate combinations of the group pattern. A
+	// projection handed to MineEncoded may hold a lone group below minCount,
+	// which then has nothing frequent to enumerate.
 	if g, count := tr.loneGroup(); g >= 0 {
-		m.enumerate(tr.groups[g], count, prefix)
+		if count >= m.min {
+			m.enumerate(tr.groups[g], count, prefix)
+		}
 		return
 	}
 	// Classic single-path shortcut when no specials are involved.

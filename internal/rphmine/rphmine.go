@@ -83,88 +83,28 @@ type level struct {
 	tq      [][]tailRef // item-links per item
 }
 
-// MineCDB implements core.CDBMiner.
-func (Miner) MineCDB(cdb *core.CDB, minCount int, sink mining.Sink) error {
-	return mineCDB(cdb, minCount, sink, nil)
+// MineCDB implements core.CDBMiner; the RP-header recursion checks for
+// cancellation at every node.
+func (e Miner) MineCDB(c context.Context, cdb *core.CDB, minCount int, sink mining.Sink) error {
+	return core.MineEncodedCDB(c, e, cdb, minCount, sink)
 }
 
-// MineCDBContext implements core.ContextCDBMiner: like MineCDB, but aborts
-// promptly (checked at every node of the RP-header recursion) when ctx is
-// cancelled or times out.
-func (Miner) MineCDBContext(c context.Context, cdb *core.CDB, minCount int, sink mining.Sink) error {
-	cancel := mining.NewCanceller(c, 0)
-	if err := cancel.Err(); err != nil {
-		return err
-	}
-	if err := mineCDB(cdb, minCount, sink, cancel); err != nil {
-		return err
-	}
-	return cancel.Err()
-}
-
-func mineCDB(cdb *core.CDB, minCount int, sink mining.Sink, cancel *mining.Canceller) error {
-	if minCount < 1 {
-		return mining.ErrBadMinSupport
-	}
-	flist := cdb.FList(minCount)
-	if flist.Len() == 0 {
-		return nil
-	}
-	blocks, loose := core.EncodeCDB(cdb, flist)
-	return mineEncoded(blocks, loose, flist, nil, minCount, sink, cancel)
-}
-
-// MineEncoded mines an already rank-encoded (projected) compressed database
-// whose patterns all extend prefix (in rank space). Used by the
-// memory-limited driver to mine disk partitions with the Recycle-HM engine.
-func (Miner) MineEncoded(blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	return mineEncoded(blocks, loose, flist, prefix, minCount, sink, nil)
-}
-
-// MineEncodedContext is MineEncoded with cooperative cancellation: the
-// RP-header recursion aborts promptly when ctx is cancelled or times out,
-// returning the context's error. Used by the parallel CDB wrapper, whose
-// workers each mine one independent projected subtree under the caller's
-// context (a Canceller is not goroutine-safe, so every subtree gets its own).
-func (Miner) MineEncodedContext(c context.Context, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	cancel := mining.NewCanceller(c, 0)
-	if err := cancel.Err(); err != nil {
-		return err
-	}
-	if err := mineEncoded(blocks, loose, flist, prefix, minCount, sink, cancel); err != nil {
-		return err
-	}
-	return cancel.Err()
-}
-
-// NewScratch implements the parallel wrapper's pooled-miner contract: the
-// returned value holds the engine's reusable working memory (arena, level
-// pool, decode and prefix buffers) and may be threaded through consecutive
-// MineEncodedScratch calls by a single goroutine.
+// NewScratch returns the engine's reusable working memory (arena, level
+// pool, decode and prefix buffers) for MineEncoded.
 func (Miner) NewScratch() any { return &ctx{} }
 
-// MineEncodedScratch is MineEncodedContext mining through sc's recycled
-// buffers (sc must come from NewScratch). All calls reusing one scratch
-// should pass the same F-list; a width change resets the pooled tables.
-func (Miner) MineEncodedScratch(c context.Context, sc any, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	cancel := mining.NewCanceller(c, 0)
-	if err := cancel.Err(); err != nil {
-		return err
+// MineEncoded implements core.EncodedMiner.
+func (Miner) MineEncoded(c context.Context, sc any, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
+	m, _ := sc.(*ctx)
+	if m == nil {
+		m = &ctx{}
 	}
-	if err := mineEncodedInto(sc.(*ctx), blocks, loose, flist, prefix, minCount, sink, cancel); err != nil {
-		return err
-	}
-	return cancel.Err()
+	return core.Cancellable(c, minCount, func(cancel *mining.Canceller) {
+		mineEncodedInto(m, blocks, loose, flist, prefix, minCount, sink, cancel)
+	})
 }
 
-func mineEncoded(blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink, cancel *mining.Canceller) error {
-	return mineEncodedInto(&ctx{}, blocks, loose, flist, prefix, minCount, sink, cancel)
-}
-
-func mineEncodedInto(m *ctx, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink, cancel *mining.Canceller) error {
-	if minCount < 1 {
-		return mining.ErrBadMinSupport
-	}
+func mineEncodedInto(m *ctx, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink, cancel *mining.Canceller) {
 	m.reset(flist, minCount, sink, cancel)
 	// Build the RP-Struct arena: one copy of every suffix, tail, and loose
 	// tuple.
@@ -188,7 +128,6 @@ func mineEncodedInto(m *ctx, blocks []core.Block, loose [][]dataset.Item, flist 
 	m.mine(root, append(m.prefix[:0], prefix...))
 	m.putLevel(root)
 	m.sink, m.cancel = nil, nil // do not retain per-call state past the call
-	return nil
 }
 
 type ctx struct {

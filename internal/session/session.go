@@ -76,10 +76,6 @@ func WithStrategy(s core.Strategy) Option { return func(se *Session) { se.pipe.S
 // round recycles.
 func WithEngine(name string) Option { return func(se *Session) { se.pipe.Recycled = name } }
 
-// WithBaseline selects the from-scratch miner by canonical registry name
-// (default "hmine"). Unknown names surface when a round mines fresh.
-func WithBaseline(name string) Option { return func(se *Session) { se.pipe.Fresh = name } }
-
 // WithCompressWorkers shards the compression phase of recycled rounds over n
 // workers (default GOMAXPROCS; output is byte-identical at any count).
 func WithCompressWorkers(n int) Option { return func(se *Session) { se.pipe.CompressWorkers = n } }
