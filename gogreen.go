@@ -16,8 +16,11 @@
 //	round2, _ := gogreen.MineRecycling(ctx, db, round1.Patterns,
 //		gogreen.WithMinSupport(0.01), gogreen.WithEngine(gogreen.RecycleHMine))
 //
-// Both entry points honor context cancellation and deadlines cooperatively
-// mid-recursion, so a long mine can be aborted from another goroutine.
+// Both entry points honor context cancellation and deadlines. HMine,
+// FPGrowth and every recycling engine (serial or parallel) check the
+// context mid-recursion, so a long mine can be aborted from another
+// goroutine; Apriori, TreeProj and Eclat check it only when the call
+// starts and returns.
 //
 // The sub-systems (constraint framework, memory-limited mining, pattern
 // persistence, interactive sessions, synthetic dataset generators) are
@@ -221,8 +224,9 @@ func (o MineOptions) pipeline(algo Algorithm) engine.Pipeline {
 }
 
 // Mine runs a baseline algorithm under ctx and returns the round's Result.
-// Cancellation and deadlines abort the recursion cooperatively within
-// microseconds.
+// For HMine (serial or parallel) and FPGrowth, cancellation and deadlines
+// abort the recursion cooperatively within microseconds; Apriori, TreeProj
+// and Eclat check ctx only before and after mining.
 func Mine(ctx context.Context, db *DB, algo Algorithm, opts ...MineOption) (Result, error) {
 	o, min, err := resolve(db, opts)
 	if err != nil {

@@ -8,8 +8,10 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"gogreen/internal/engine"
+	"gogreen/internal/mining"
 	"gogreen/internal/server"
 	"gogreen/internal/testutil"
 )
@@ -263,5 +265,25 @@ func TestFacadeCancellation(t *testing.T) {
 	}
 	if _, err := MineRecycling(ctx, db, nil, WithMinCount(2)); !errors.Is(err, context.Canceled) {
 		t.Errorf("MineRecycling with cancelled ctx: %v", err)
+	}
+}
+
+// TestFacadeDeepMineDeadline: ten copies of one 64-item tuple make the
+// FP-tree one path of 64 nodes, whose single-path enumeration covers
+// 2^64-1 patterns. Under a deadline Mine returns DeadlineExceeded for
+// FP-growth as for H-Mine, neither panicking nor running on.
+func TestFacadeDeepMineDeadline(t *testing.T) {
+	db := testutil.RepeatedTuple(64, 10)
+	for _, algo := range []Algorithm{FPGrowth, HMine} {
+		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+		var c mining.Count
+		start := time.Now()
+		if _, err := Mine(ctx, db, algo, WithMinCount(10), WithSink(&c)); !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: err = %v after %d patterns, want context.DeadlineExceeded", algo, err, c.N)
+		}
+		if el := time.Since(start); el > 5*time.Second {
+			t.Errorf("%s: returned %v after a 50ms deadline", algo, el)
+		}
+		cancel()
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"gogreen/internal/gen"
 	"gogreen/internal/hmine"
 	"gogreen/internal/mining"
+	"gogreen/internal/testutil"
 )
 
 // refCompress is an independent naive reference for the first-hit cover
@@ -280,7 +281,7 @@ func FuzzCompressDifferential(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{3, 7, 0x83, 7}, []byte{0xff, 3, 7, 1, 9})
 	f.Fuzz(func(t *testing.T, dbBytes, patBytes []byte) {
-		db := dbFromBytes(dbBytes)
+		db := testutil.DBFromBytes(dbBytes)
 
 		// Pattern bytes: item ids mod 24 (the db universe is 16 ids, so
 		// ids 16-23 are absent); a high bit ends the current pattern.

@@ -2,7 +2,7 @@ package core
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"gogreen/internal/dataset"
 	"gogreen/internal/mining"
@@ -133,22 +133,15 @@ func (n Naive) MineCDB(ctx context.Context, cdb *CDB, minCount int, sink mining.
 // checks for cancellation at every node.
 func (n Naive) MineEncoded(ctx context.Context, _ any, blocks []Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	return Cancellable(ctx, minCount, func(cancel *mining.Canceller) {
-		m := &rpCtx{flist: flist, min: minCount, sink: sink, decoded: make([]dataset.Item, flist.Len()), noSingle: n.DisableSingleGroup, cancel: cancel}
-		m.mine(blocks, loose, append([]dataset.Item(nil), prefix...))
+		m := &rpCtx{noSingle: n.DisableSingleGroup}
+		m.Reset(flist, minCount, sink, cancel)
+		m.mine(blocks, loose, m.Prefix(prefix))
 	})
 }
 
 type rpCtx struct {
-	flist    *mining.FList
-	min      int
-	sink     mining.Sink
-	decoded  []dataset.Item
+	mining.Emitter
 	noSingle bool
-	cancel   *mining.Canceller
-}
-
-func (m *rpCtx) emit(prefix []dataset.Item, support int) {
-	m.sink.Emit(m.flist.DecodeInto(m.decoded, prefix), support)
 }
 
 // mine processes one projected compressed database: count candidate
@@ -158,7 +151,7 @@ func (m *rpCtx) emit(prefix []dataset.Item, support int) {
 // second saving: one containment check classifies a whole group).
 func (m *rpCtx) mine(blocks []Block, loose [][]dataset.Item, prefix []dataset.Item) {
 	// Cooperative cancellation, one cheap check per recursion node.
-	if m.cancel.Check() != nil {
+	if m.Cancel.Check() != nil {
 		return
 	}
 	counts := map[dataset.Item]int{}
@@ -180,32 +173,32 @@ func (m *rpCtx) mine(blocks []Block, loose [][]dataset.Item, prefix []dataset.It
 	}
 	frequent := make([]dataset.Item, 0, len(counts))
 	for it, c := range counts {
-		if c >= m.min {
+		if c >= m.Min {
 			frequent = append(frequent, it)
 		}
 	}
 	if len(frequent) == 0 {
 		return
 	}
-	sort.Slice(frequent, func(i, j int) bool { return frequent[i] < frequent[j] })
+	slices.Sort(frequent)
 
 	// Lemma 3.1: when every occurrence of every frequent item lies in one
 	// group's pattern, the remaining patterns are all combinations of those
 	// items, each supported by the group's count.
 	if !m.noSingle {
-		if b := m.singleGroup(blocks, frequent, counts); b != nil {
-			m.enumerate(frequent, b.Count, prefix)
+		if b := SingleGroup(blocks, frequent, func(f dataset.Item) int { return counts[f] }); b != nil {
+			m.Combinations(frequent, b.Count, prefix)
 			return
 		}
 	}
 
 	prefix = append(prefix, 0)
 	for _, r := range frequent {
-		if m.cancel.Check() != nil {
+		if m.Cancel.Check() != nil {
 			return
 		}
 		prefix[len(prefix)-1] = r
-		m.emit(prefix, counts[r])
+		m.Emit(prefix, counts[r])
 		subBlocks, subLoose := Project(blocks, loose, r)
 		if len(subBlocks) > 0 || len(subLoose) > 0 {
 			m.mine(subBlocks, subLoose, prefix)
@@ -213,53 +206,25 @@ func (m *rpCtx) mine(blocks []Block, loose [][]dataset.Item, prefix []dataset.It
 	}
 }
 
-// singleGroup returns the unique block b with every frequent item in its
-// suffix and no occurrences elsewhere (counts[f] == b.Count for all f), or
-// nil. Uniqueness follows from the count equality: any second block or tail
-// occurrence would push counts above b.Count.
-func (m *rpCtx) singleGroup(blocks []Block, frequent []dataset.Item, counts map[dataset.Item]int) *Block {
-	f0 := frequent[0]
+// SingleGroup is the Lemma 3.1 test over a projected compressed database:
+// it returns the unique block holding every frequent item in its suffix
+// with no occurrences elsewhere (count(f) == b.Count for every frequent f),
+// or nil. Uniqueness follows from the count equality: any second block or
+// tail occurrence would push a count above b.Count.
+func SingleGroup(blocks []Block, frequent []dataset.Item, count func(dataset.Item) int) *Block {
 	for i := range blocks {
 		b := &blocks[i]
-		idx := search(b.Suffix, f0)
-		if idx < 0 {
+		if mining.Index(b.Suffix, frequent[0]) < 0 {
 			continue
 		}
-		// Candidate found; all frequent items must be in this suffix with
-		// exact count match.
 		for _, f := range frequent {
-			if counts[f] != b.Count || search(b.Suffix, f) < 0 {
+			if count(f) != b.Count || mining.Index(b.Suffix, f) < 0 {
 				return nil
 			}
 		}
 		return b
 	}
 	return nil
-}
-
-// enumerate emits every non-empty combination of items appended to prefix,
-// all with the given support.
-func (m *rpCtx) enumerate(items []dataset.Item, support int, prefix []dataset.Item) {
-	n := len(items)
-	if n > 62 {
-		panic("core: single-group enumeration over more than 62 items")
-	}
-	base := len(prefix)
-	buf := append([]dataset.Item(nil), prefix...)
-	for mask := uint64(1); mask < 1<<uint(n); mask++ {
-		// The enumeration can cover up to 2^62 patterns, so it must honor
-		// cancellation like the recursion proper.
-		if m.cancel.Check() != nil {
-			return
-		}
-		buf = buf[:base]
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				buf = append(buf, items[i])
-			}
-		}
-		m.emit(buf, support)
-	}
 }
 
 // Project builds the r-projected compressed database (Definition 3.2 lifted
@@ -272,8 +237,8 @@ func Project(blocks []Block, loose [][]dataset.Item, r dataset.Item) ([]Block, [
 
 	for i := range blocks {
 		b := &blocks[i]
-		inSuffix := search(b.Suffix, r) >= 0
-		newSuffix := after(b.Suffix, r)
+		inSuffix := mining.Index(b.Suffix, r) >= 0
+		newSuffix := mining.After(b.Suffix, r)
 
 		var newTails [][]dataset.Item
 		newCount := 0
@@ -281,18 +246,18 @@ func Project(blocks []Block, loose [][]dataset.Item, r dataset.Item) ([]Block, [
 			// Every member contains r.
 			newCount = b.Count
 			for _, tail := range b.Tails {
-				if nt := after(tail, r); len(nt) > 0 {
+				if nt := mining.After(tail, r); len(nt) > 0 {
 					newTails = append(newTails, nt)
 				}
 			}
 		} else {
 			// Only members whose tail holds r qualify.
 			for _, tail := range b.Tails {
-				if search(tail, r) < 0 {
+				if mining.Index(tail, r) < 0 {
 					continue
 				}
 				newCount++
-				if nt := after(tail, r); len(nt) > 0 {
+				if nt := mining.After(tail, r); len(nt) > 0 {
 					newTails = append(newTails, nt)
 				}
 			}
@@ -308,10 +273,10 @@ func Project(blocks []Block, loose [][]dataset.Item, r dataset.Item) ([]Block, [
 	}
 
 	for _, t := range loose {
-		if search(t, r) < 0 {
+		if mining.Index(t, r) < 0 {
 			continue
 		}
-		if nt := after(t, r); len(nt) > 0 {
+		if nt := mining.After(t, r); len(nt) > 0 {
 			outLoose = append(outLoose, nt)
 		}
 	}
@@ -341,8 +306,8 @@ func (p *ProjScratch) Project(blocks []Block, loose [][]dataset.Item, r dataset.
 
 	for i := range blocks {
 		b := &blocks[i]
-		inSuffix := search(b.Suffix, r) >= 0
-		newSuffix := after(b.Suffix, r)
+		inSuffix := mining.Index(b.Suffix, r) >= 0
+		newSuffix := mining.After(b.Suffix, r)
 
 		// Tails of this block accumulate in the shared slab; the block keeps
 		// a capped subslice. A slab regrow leaves earlier blocks pointing at
@@ -352,17 +317,17 @@ func (p *ProjScratch) Project(blocks []Block, loose [][]dataset.Item, r dataset.
 		if inSuffix {
 			newCount = b.Count
 			for _, tail := range b.Tails {
-				if nt := after(tail, r); len(nt) > 0 {
+				if nt := mining.After(tail, r); len(nt) > 0 {
 					p.tails = append(p.tails, nt)
 				}
 			}
 		} else {
 			for _, tail := range b.Tails {
-				if search(tail, r) < 0 {
+				if mining.Index(tail, r) < 0 {
 					continue
 				}
 				newCount++
-				if nt := after(tail, r); len(nt) > 0 {
+				if nt := mining.After(tail, r); len(nt) > 0 {
 					p.tails = append(p.tails, nt)
 				}
 			}
@@ -384,44 +349,12 @@ func (p *ProjScratch) Project(blocks []Block, loose [][]dataset.Item, r dataset.
 	}
 
 	for _, t := range loose {
-		if search(t, r) < 0 {
+		if mining.Index(t, r) < 0 {
 			continue
 		}
-		if nt := after(t, r); len(nt) > 0 {
+		if nt := mining.After(t, r); len(nt) > 0 {
 			p.loose = append(p.loose, nt)
 		}
 	}
 	return p.blocks, p.loose
-}
-
-// search returns the index of r in the sorted slice s, or -1.
-func search(s []dataset.Item, r dataset.Item) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s) && s[lo] == r {
-		return lo
-	}
-	return -1
-}
-
-// after returns the subslice of sorted s strictly greater than r (shared
-// backing array; callers must not mutate).
-func after(s []dataset.Item, r dataset.Item) []dataset.Item {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] <= r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return s[lo:]
 }

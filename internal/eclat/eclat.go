@@ -37,21 +37,17 @@ func (*Miner) Mine(db *dataset.DB, minCount int, sink mining.Sink) error {
 			}
 		}
 	}
-	m := &ctx{flist: flist, min: minCount, sink: sink, decoded: make([]dataset.Item, flist.Len())}
+	m := &ctx{}
+	m.Reset(flist, minCount, sink, nil)
 	items := make([]dataset.Item, flist.Len())
 	for r := range items {
 		items[r] = dataset.Item(r)
 	}
-	m.mine(items, tids, nil)
+	m.mine(items, tids, m.Prefix(nil))
 	return nil
 }
 
-type ctx struct {
-	flist   *mining.FList
-	min     int
-	sink    mining.Sink
-	decoded []dataset.Item
-}
+type ctx struct{ mining.Emitter }
 
 // mine processes one equivalence class: items (ascending rank) with their
 // tid-lists, all sharing prefix.
@@ -59,13 +55,13 @@ func (m *ctx) mine(items []dataset.Item, tids [][]int32, prefix []dataset.Item) 
 	prefix = append(prefix, 0)
 	for i, it := range items {
 		prefix[len(prefix)-1] = it
-		m.sink.Emit(m.flist.DecodeInto(m.decoded, prefix), len(tids[i]))
+		m.Emit(prefix, len(tids[i]))
 
 		var subItems []dataset.Item
 		var subTids [][]int32
 		for j := i + 1; j < len(items); j++ {
 			inter := intersect(tids[i], tids[j])
-			if len(inter) >= m.min {
+			if len(inter) >= m.Min {
 				subItems = append(subItems, items[j])
 				subTids = append(subTids, inter)
 			}

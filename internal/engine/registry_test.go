@@ -215,6 +215,7 @@ func TestRecycledEngines(t *testing.T) {
 		{"Randomized", testutil.EngineRandomized},
 		{"NoRecycledPatterns", testutil.EngineNoRecycledPatterns},
 		{"DenseSingleGroup", testutil.EngineDenseSingleGroup},
+		{"DeepSingleGroup", testutil.EngineDeepSingleGroup},
 		{"BadMinSupport", testutil.EngineBadMinSupport},
 		{"EmptyCDB", testutil.EngineEmptyCDB},
 		{"PreCancelled", checkPreCancelled},

@@ -8,6 +8,8 @@
 package fptree
 
 import (
+	"context"
+
 	"gogreen/internal/dataset"
 	"gogreen/internal/mining"
 )
@@ -95,6 +97,25 @@ func (tr *Tree) singlePath() ([]dataset.Item, []int) {
 
 // Mine implements mining.Miner.
 func (*Miner) Mine(db *dataset.DB, minCount int, sink mining.Sink) error {
+	return mine(db, minCount, sink, nil)
+}
+
+// MineContext implements mining.ContextMiner: like Mine, but aborts promptly
+// (the cancellation check runs at every conditional tree, every header item
+// and every single-path pattern) when ctx is cancelled or times out,
+// returning the context's error.
+func (*Miner) MineContext(c context.Context, db *dataset.DB, minCount int, sink mining.Sink) error {
+	cancel := mining.NewCanceller(c, 0)
+	if err := cancel.Err(); err != nil {
+		return err
+	}
+	if err := mine(db, minCount, sink, cancel); err != nil {
+		return err
+	}
+	return cancel.Err()
+}
+
+func mine(db *dataset.DB, minCount int, sink mining.Sink, cancel *mining.Canceller) error {
 	if minCount < 1 {
 		return mining.ErrBadMinSupport
 	}
@@ -109,40 +130,39 @@ func (*Miner) Mine(db *dataset.DB, minCount int, sink mining.Sink) error {
 			tree.Insert(enc, 1)
 		}
 	}
-	m := &ctx{flist: flist, min: minCount, sink: sink, decoded: make([]dataset.Item, flist.Len())}
-	m.growth(tree, nil)
+	m := &ctx{}
+	m.Reset(flist, minCount, sink, cancel)
+	m.growth(tree, m.Prefix(nil))
 	return nil
 }
 
-type ctx struct {
-	flist   *mining.FList
-	min     int
-	sink    mining.Sink
-	decoded []dataset.Item
-}
-
-func (m *ctx) emit(prefix []dataset.Item, support int) {
-	m.sink.Emit(m.flist.DecodeInto(m.decoded, prefix), support)
-}
+type ctx struct{ mining.Emitter }
 
 // growth mines one (conditional) FP-tree.
 func (m *ctx) growth(tr *Tree, prefix []dataset.Item) {
+	// Cooperative cancellation, one cheap check per conditional tree.
+	if m.Cancel.Check() != nil {
+		return
+	}
 	// Single-path shortcut: all combinations of path items, each supported
 	// by the count of its deepest member.
 	if items, counts := tr.singlePath(); items != nil {
-		m.enumeratePath(items, counts, prefix)
+		m.PathCombinations(items, counts, prefix)
 		return
 	}
 	prefix = append(prefix, 0)
 	// Walk header items in ascending rank (= ascending support): leaf-most
 	// items first, as in the original algorithm.
 	for r := 0; r < tr.nItems; r++ {
-		if tr.counts[r] < m.min || tr.heads[r] == nil {
+		if tr.counts[r] < m.Min || tr.heads[r] == nil {
 			continue
+		}
+		if m.Cancel.Check() != nil {
+			return
 		}
 		it := dataset.Item(r)
 		prefix[len(prefix)-1] = it
-		m.emit(prefix, tr.counts[r])
+		m.Emit(prefix, tr.counts[r])
 
 		// Conditional pattern base: for each node carrying it, its path to
 		// the root with the node's count. Two passes: first count item
@@ -156,7 +176,7 @@ func (m *ctx) growth(tr *Tree, prefix []dataset.Item) {
 		}
 		any := false
 		for _, c := range condCounts {
-			if c >= m.min {
+			if c >= m.Min {
 				any = true
 				break
 			}
@@ -171,7 +191,7 @@ func (m *ctx) growth(tr *Tree, prefix []dataset.Item) {
 			// Walking parent pointers yields ascending rank order, which is
 			// what Insert expects.
 			for p := n.parent; p != nil && p.item >= 0; p = p.parent {
-				if condCounts[p.item] >= m.min {
+				if condCounts[p.item] >= m.Min {
 					path = append(path, p.item)
 				}
 			}
@@ -180,36 +200,5 @@ func (m *ctx) growth(tr *Tree, prefix []dataset.Item) {
 			}
 		}
 		m.growth(cond, prefix)
-	}
-}
-
-// enumeratePath emits every non-empty combination of the single path's
-// items appended to prefix. items are root-first (descending rank), counts
-// are the node counts; a combination's support is the count of its
-// deepest-selected node.
-func (m *ctx) enumeratePath(items []dataset.Item, counts []int, prefix []dataset.Item) {
-	n := len(items)
-	if n == 0 {
-		return
-	}
-	if n > 62 {
-		// Combinatorially impossible to enumerate; also cannot occur with
-		// realistic minimum supports. Guard against shift overflow.
-		panic("fptree: single path longer than 62 items")
-	}
-	base := len(prefix)
-	buf := append([]dataset.Item(nil), prefix...)
-	for mask := 1; mask < 1<<n; mask++ {
-		buf = buf[:base]
-		sup := 0
-		for i := 0; i < n; i++ {
-			if mask&(1<<i) != 0 {
-				buf = append(buf, items[i])
-				sup = counts[i] // deepest selected node's count
-			}
-		}
-		if sup >= m.min {
-			m.emit(buf, sup)
-		}
 	}
 }

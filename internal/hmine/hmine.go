@@ -82,9 +82,9 @@ func NewScratch() *Scratch { return &Scratch{} }
 
 // MineProjected mines an already rank-encoded (projected) database whose
 // patterns all extend prefix (in rank space), through sc's recycled buffers
-// (nil means fresh memory). All calls reusing one Scratch must pass the
-// same F-list width (the pooled header tables are width-sized); a width
-// change resets the pool. The recursion aborts promptly when ctx is
+// (nil means fresh memory). Calls reusing one Scratch keep its pooled,
+// width-sized header tables while the F-list width does not grow; a wider
+// F-list resets the pool. The recursion aborts promptly when ctx is
 // cancelled or times out, returning the context's error. Used by the
 // memory-limited driver for disk partitions and by the parallel miner for
 // its subtrees.
@@ -104,52 +104,27 @@ func mineProjected(tx [][]dataset.Item, flist *mining.FList, prefix []dataset.It
 		sc = &Scratch{}
 	}
 	m := &sc.m
-	m.reset(flist, minCount, sink, cancel)
+	if m.Reset(flist, minCount, sink, cancel) {
+		m.pool = nil // pooled levels are width-sized
+	}
 	all := m.sufs[:0]
 	for i := range tx {
 		all = append(all, suffix{tx: int32(i), pos: 0})
 	}
 	m.sufs = all
 	m.hs = tx
-	m.mine(all, append(m.prefix[:0], prefix...))
+	m.mine(all, m.Prefix(prefix))
 	m.hs = nil // do not retain the caller's projection past the call
+	m.Release()
 	return cancel.Err()
 }
 
-// reset rebinds the per-call fields, keeping the pooled buffers when the
-// F-list width is unchanged (the parallel steady path) and rebuilding them
-// otherwise.
-func (m *ctx) reset(flist *mining.FList, minCount int, sink mining.Sink, cancel *mining.Canceller) {
-	n := flist.Len()
-	if cap(m.decoded) < n {
-		m.decoded = make([]dataset.Item, n)
-		m.pool = nil // pooled levels are width-sized
-	} else {
-		m.decoded = m.decoded[:n]
-		for _, l := range m.pool {
-			if len(l.counts) < n {
-				m.pool = nil
-				break
-			}
-		}
-	}
-	if cap(m.prefix) < n+1 {
-		m.prefix = make([]dataset.Item, 0, n+1)
-	}
-	m.flist, m.min, m.sink, m.cancel = flist, minCount, sink, cancel
-}
-
 type ctx struct {
-	hs      [][]dataset.Item // rank-encoded transactions
-	flist   *mining.FList
-	min     int
-	sink    mining.Sink
-	decoded []dataset.Item    // scratch for emitting in item space
-	pool    []*level          // free per-recursion header tables
-	subs    [][]suffix        // free per-recursion projection suffix slices
-	sufs    []suffix          // root suffix scratch, reused across calls
-	prefix  []dataset.Item    // prefix scratch, reused across calls
-	cancel  *mining.Canceller // nil when mining without a context
+	mining.Emitter
+	hs   [][]dataset.Item // rank-encoded transactions
+	pool []*level         // free per-recursion header tables
+	subs [][]suffix       // free per-recursion projection suffix slices
+	sufs []suffix         // root suffix scratch, reused across calls
 }
 
 func (m *ctx) getSufs() []suffix {
@@ -180,7 +155,7 @@ func (m *ctx) getLevel() *level {
 		m.pool = m.pool[:n-1]
 		return l
 	}
-	n := m.flist.Len()
+	n := m.FList.Len()
 	return &level{counts: make([]int, n), queues: make([][]suffix, n)}
 }
 
@@ -193,11 +168,6 @@ func (m *ctx) putLevel(l *level) {
 	m.pool = append(m.pool, l)
 }
 
-// emit decodes the rank-space pattern and streams it out.
-func (m *ctx) emit(prefix []dataset.Item, support int) {
-	m.sink.Emit(m.flist.DecodeInto(m.decoded, prefix), support)
-}
-
 // mine processes one projected database given as a set of suffixes whose
 // items are all candidate extensions of prefix. It builds a header table
 // (support counts + queues), then walks frequent items in rank order,
@@ -207,7 +177,7 @@ func (m *ctx) mine(sufs []suffix, prefix []dataset.Item) {
 	// Cooperative cancellation: one cheap check per recursion node and per
 	// counted suffix; once tripped, every level returns immediately and the
 	// whole recursion unwinds.
-	if m.cancel.Check() != nil {
+	if m.Cancel.Check() != nil {
 		return
 	}
 	lv := m.getLevel()
@@ -215,7 +185,7 @@ func (m *ctx) mine(sufs []suffix, prefix []dataset.Item) {
 
 	// Header-table pass: count every item occurrence in the projection.
 	for _, s := range sufs {
-		if m.cancel.Check() != nil {
+		if m.Cancel.Check() != nil {
 			return
 		}
 		t := m.hs[s.tx]
@@ -233,7 +203,7 @@ func (m *ctx) mine(sufs []suffix, prefix []dataset.Item) {
 	enqueue := func(s suffix) {
 		t := m.hs[s.tx]
 		for i := int(s.pos); i < len(t); i++ {
-			if lv.counts[t[i]] >= m.min {
+			if lv.counts[t[i]] >= m.Min {
 				s.pos = int32(i)
 				lv.queues[t[i]] = append(lv.queues[t[i]], s)
 				return
@@ -250,15 +220,15 @@ func (m *ctx) mine(sufs []suffix, prefix []dataset.Item) {
 	// past.
 	prefix = append(prefix, 0)
 	for _, r := range lv.touched {
-		if m.cancel.Check() != nil {
+		if m.Cancel.Check() != nil {
 			return
 		}
 		q := lv.queues[r]
-		if len(q) == 0 || lv.counts[r] < m.min {
+		if len(q) == 0 || lv.counts[r] < m.Min {
 			continue
 		}
 		prefix[len(prefix)-1] = r
-		m.emit(prefix, lv.counts[r])
+		m.Emit(prefix, lv.counts[r])
 
 		// Recurse into the r-projected database: same suffixes, moved one
 		// item past r. The slice comes from the per-recursion free list and

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -100,17 +101,18 @@ func (j *Job) Snapshot() Snapshot {
 
 // Manager runs jobs on a fixed pool of workers over a bounded queue.
 type Manager struct {
-	queue   chan *Job
-	prefix  string
-	baseCtx context.Context
-	stop    context.CancelFunc
+	prefix   string
+	queueCap int
+	baseCtx  context.Context
+	stop     context.CancelFunc
 
 	mu      sync.Mutex
+	ready   *sync.Cond // signalled on m.mu when a job is queued or on shutdown
+	queue   []*Job     // queued jobs, oldest first; Cancel removes its job
 	jobs    map[string]*Job
 	order   []string // submission order, for eviction and listing
 	seq     int64
 	closed  bool
-	queued  int
 	running int
 	retain  int
 
@@ -132,13 +134,14 @@ func New(prefix string, workers, queueCap int) *Manager {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	m := &Manager{
-		queue:   make(chan *Job, queueCap),
-		prefix:  prefix,
-		baseCtx: ctx,
-		stop:    stop,
-		jobs:    map[string]*Job{},
-		retain:  1024,
+		prefix:   prefix,
+		queueCap: queueCap,
+		baseCtx:  ctx,
+		stop:     stop,
+		jobs:     map[string]*Job{},
+		retain:   1024,
 	}
+	m.ready = sync.NewCond(&m.mu)
 	m.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go m.worker()
@@ -154,6 +157,10 @@ func (m *Manager) Submit(fn Fn) (*Job, error) {
 		m.mu.Unlock()
 		return nil, ErrShutdown
 	}
+	if len(m.queue) >= m.queueCap {
+		m.mu.Unlock()
+		return nil, ErrQueueFull
+	}
 	m.seq++
 	j := &Job{
 		id:      fmt.Sprintf("%sj%d", m.prefix, m.seq),
@@ -162,16 +169,10 @@ func (m *Manager) Submit(fn Fn) (*Job, error) {
 		created: time.Now(),
 		done:    make(chan struct{}),
 	}
-	select {
-	case m.queue <- j:
-	default:
-		m.seq-- // the job never existed
-		m.mu.Unlock()
-		return nil, ErrQueueFull
-	}
+	m.queue = append(m.queue, j)
+	m.ready.Signal()
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
-	m.queued++
 	m.evictLocked()
 	m.mu.Unlock()
 	return j, nil
@@ -223,48 +224,47 @@ func (m *Manager) List() []Snapshot {
 	return out
 }
 
-// Cancel cancels the job by id: a queued job is marked cancelled and skipped
-// by workers, a running job has its context cancelled (the job reaches a
-// terminal state when its Fn returns). Cancel reports whether it cancelled
-// a queued or running job; an unknown id or a terminal job reports false.
+// Cancel cancels the job by id: a queued job leaves the queue, freeing its
+// slot, and is marked cancelled; a running job has its context cancelled
+// (the job reaches a terminal state when its Fn returns). Cancel reports
+// whether it cancelled a queued or running job; an unknown id or a terminal
+// job reports false.
 func (m *Manager) Cancel(id string) bool {
-	j, ok := m.Get(id)
+	// Lock order is m.mu -> j.mu everywhere (Submit takes j.mu via
+	// evictLocked, workers when they start a job).
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j, ok := m.jobs[id]
 	if !ok {
 		return false
 	}
-	// Lock order is m.mu -> j.mu everywhere (Submit holds m.mu and takes j.mu
-	// via evictLocked), so m.queued must be updated after releasing j.mu.
-	wasQueued, cancelled := false, false
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	switch j.status {
 	case StatusQueued:
+		m.queue = slices.DeleteFunc(m.queue, func(q *Job) bool { return q == j })
 		j.status = StatusCancelled
 		j.err = context.Canceled
 		j.finished = time.Now()
 		close(j.done)
-		wasQueued, cancelled = true, true
+		return true
 	case StatusRunning:
 		// Only the first cancel delivers; a repeat while Fn unwinds is a
 		// no-op.
 		if j.cancel != nil {
 			j.cancel(context.Canceled)
-			j.cancel, cancelled = nil, true
+			j.cancel = nil
+			return true
 		}
 	}
-	j.mu.Unlock()
-	if wasQueued {
-		m.mu.Lock()
-		m.queued--
-		m.mu.Unlock()
-	}
-	return cancelled
+	return false
 }
 
 // Depth returns the number of queued (not yet running) jobs.
 func (m *Manager) Depth() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.queued
+	return len(m.queue)
 }
 
 // Running returns the number of currently executing jobs.
@@ -286,8 +286,8 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	m.closed = true
+	m.ready.Broadcast()
 	m.mu.Unlock()
-	close(m.queue)
 
 	drained := make(chan struct{})
 	go func() {
@@ -306,32 +306,37 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// worker executes jobs until the queue is closed and empty.
+// worker executes jobs until the manager is shut down and the queue is
+// empty.
 func (m *Manager) worker() {
 	defer m.wg.Done()
-	for j := range m.queue {
-		m.run(j)
+	for {
+		m.mu.Lock()
+		for len(m.queue) == 0 && !m.closed {
+			m.ready.Wait()
+		}
+		if len(m.queue) == 0 {
+			m.mu.Unlock()
+			return
+		}
+		j := m.queue[0]
+		m.queue = slices.Delete(m.queue, 0, 1)
+		ctx, cancel := context.WithCancelCause(m.baseCtx)
+		// The job leaves the queue and starts running in one step under
+		// m.mu, so Cancel sees it either queued or running.
+		j.mu.Lock()
+		j.status = StatusRunning
+		j.started = time.Now()
+		j.cancel = cancel
+		j.mu.Unlock()
+		m.running++
+		m.mu.Unlock()
+		m.run(ctx, j)
+		cancel(nil)
 	}
 }
 
-func (m *Manager) run(j *Job) {
-	ctx, cancel := context.WithCancelCause(m.baseCtx)
-	defer cancel(nil)
-
-	j.mu.Lock()
-	if j.status != StatusQueued { // cancelled while waiting
-		j.mu.Unlock()
-		return
-	}
-	j.status = StatusRunning
-	j.started = time.Now()
-	j.cancel = cancel
-	j.mu.Unlock()
-	m.mu.Lock()
-	m.queued--
-	m.running++
-	m.mu.Unlock()
-
+func (m *Manager) run(ctx context.Context, j *Job) {
 	result, err := j.fn(ctx)
 
 	m.mu.Lock()

@@ -216,3 +216,48 @@ func TestShutdownDeadlineCancelsRunning(t *testing.T) {
 		t.Fatalf("job after forced shutdown = %+v", s)
 	}
 }
+
+// TestCancelQueuedFreesSlot: with one worker busy and a queue of one, a
+// cancelled queued job gives its slot back at once, so the next Submit is
+// admitted and runs after the busy job.
+func TestCancelQueuedFreesSlot(t *testing.T) {
+	m := New("", 1, 1)
+	defer m.Shutdown(context.Background())
+	started, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	defer unblock() // before Shutdown, which waits for a
+	a, err := m.Submit(func(context.Context) (any, error) {
+		close(started)
+		<-release
+		return "a", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	b, err := m.Submit(func(context.Context) (any, error) { return "b", nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Cancel(b.ID()) {
+		t.Fatal("cancel of the queued job returned false")
+	}
+	if d := m.Depth(); d != 0 {
+		t.Fatalf("depth after cancel = %d, want 0", d)
+	}
+	c, err := m.Submit(func(context.Context) (any, error) { return "c", nil })
+	if err != nil {
+		t.Fatalf("submit after cancelling the only queued job: %v", err)
+	}
+	unblock()
+	if s := wait(t, a); s.Status != StatusDone {
+		t.Fatalf("a = %+v", s)
+	}
+	if s := wait(t, c); s.Status != StatusDone || s.Result != "c" || s.Started.Before(*a.Snapshot().Finished) {
+		t.Fatalf("c = %+v, a finished %v", s, a.Snapshot().Finished)
+	}
+	if s := b.Snapshot(); s.Status != StatusCancelled || s.Started != nil {
+		t.Fatalf("b = %+v", s)
+	}
+}

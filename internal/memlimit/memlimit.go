@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"gogreen/internal/core"
 	"gogreen/internal/dataset"
@@ -247,7 +248,7 @@ func (d *driver) mineCDB(blocks []core.Block, loose [][]dataset.Item, flist *min
 	for _, t := range loose {
 		for _, r := range t {
 			if w := writers[r]; w != nil {
-				if nt := itemsAfter(t, r); len(nt) > 0 {
+				if nt := mining.After(t, r); len(nt) > 0 {
 					if err := w.writeTuple(nt); err != nil {
 						return abortParts(writers, paths, err)
 					}
@@ -379,14 +380,6 @@ func frequentItems(counts map[dataset.Item]int, minCount int) []dataset.Item {
 			out = append(out, it)
 		}
 	}
-	sortItems(out)
+	slices.Sort(out)
 	return out
-}
-
-func sortItems(s []dataset.Item) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"gogreen/internal/core"
 	"gogreen/internal/dataset"
+	"gogreen/internal/mining"
 )
 
 // Partition spill format: a sequence of varint-encoded records.
@@ -84,14 +85,14 @@ func (p *partWriter) writeTuple(t []dataset.Item) error {
 // empties degrades into tuple records. Tail-item projections go through
 // writeBucketedBlock instead.
 func (p *partWriter) writeProjectedBlock(b *core.Block, r dataset.Item) error {
-	newSuffix := itemsAfter(b.Suffix, r)
+	newSuffix := mining.After(b.Suffix, r)
 	if b.Count == 0 {
 		return p.err
 	}
 	if len(newSuffix) == 0 {
 		// Degenerate: members reduce to their tails.
 		for _, t := range b.Tails {
-			if nt := itemsAfter(t, r); len(nt) > 0 {
+			if nt := mining.After(t, r); len(nt) > 0 {
 				p.writeTuple(nt)
 			}
 		}
@@ -101,7 +102,7 @@ func (p *partWriter) writeProjectedBlock(b *core.Block, r dataset.Item) error {
 	// Pass 1: non-empty-tail count; pass 2: the block record.
 	nTails := 0
 	for _, t := range b.Tails {
-		if len(itemsAfter(t, r)) > 0 {
+		if len(mining.After(t, r)) > 0 {
 			nTails++
 		}
 	}
@@ -110,7 +111,7 @@ func (p *partWriter) writeProjectedBlock(b *core.Block, r dataset.Item) error {
 	p.uvarint(uint64(b.Count))
 	p.uvarint(uint64(nTails))
 	for _, t := range b.Tails {
-		if nt := itemsAfter(t, r); len(nt) > 0 {
+		if nt := mining.After(t, r); len(nt) > 0 {
 			p.items(nt)
 		}
 	}
@@ -124,10 +125,10 @@ func (p *partWriter) writeBucketedBlock(b *core.Block, r dataset.Item, members [
 	if len(members) == 0 {
 		return p.err
 	}
-	newSuffix := itemsAfter(b.Suffix, r)
+	newSuffix := mining.After(b.Suffix, r)
 	if len(newSuffix) == 0 {
 		for _, ti := range members {
-			if nt := itemsAfter(b.Tails[ti], r); len(nt) > 0 {
+			if nt := mining.After(b.Tails[ti], r); len(nt) > 0 {
 				p.writeTuple(nt)
 			}
 		}
@@ -135,7 +136,7 @@ func (p *partWriter) writeBucketedBlock(b *core.Block, r dataset.Item, members [
 	}
 	nTails := 0
 	for _, ti := range members {
-		if len(itemsAfter(b.Tails[ti], r)) > 0 {
+		if len(mining.After(b.Tails[ti], r)) > 0 {
 			nTails++
 		}
 	}
@@ -144,26 +145,11 @@ func (p *partWriter) writeBucketedBlock(b *core.Block, r dataset.Item, members [
 	p.uvarint(uint64(len(members)))
 	p.uvarint(uint64(nTails))
 	for _, ti := range members {
-		if nt := itemsAfter(b.Tails[ti], r); len(nt) > 0 {
+		if nt := mining.After(b.Tails[ti], r); len(nt) > 0 {
 			p.items(nt)
 		}
 	}
 	return p.err
-}
-
-// itemsAfter returns the subslice of sorted s strictly greater than r
-// (shared backing array, no allocation).
-func itemsAfter(s []dataset.Item, r dataset.Item) []dataset.Item {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] <= r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return s[lo:]
 }
 
 func (p *partWriter) closeFlush() error {

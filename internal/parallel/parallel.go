@@ -163,7 +163,7 @@ func splitProjected(c context.Context, p *pool, states []*hWorkerState, proj [][
 		sink.Emit(flist.DecodeInto(decoded, buf), counts[r2])
 		sub := make([][]dataset.Item, 0, counts[r2])
 		for _, t := range proj {
-			if i := rankIndex(t, dataset.Item(r2)); i >= 0 && i+1 < len(t) {
+			if i := mining.Index(t, dataset.Item(r2)); i >= 0 && i+1 < len(t) {
 				sub = append(sub, t[i+1:])
 			}
 		}
@@ -212,24 +212,6 @@ func projSites(tx [][]dataset.Item, n int) (starts []int32, sites []site) {
 		}
 	}
 	return starts, sites
-}
-
-// rankIndex returns the index of r in the ascending rank-encoded tuple t,
-// or -1.
-func rankIndex(t []dataset.Item, r dataset.Item) int {
-	lo, hi := 0, len(t)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if t[mid] < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(t) && t[lo] == r {
-		return lo
-	}
-	return -1
 }
 
 // Engine is the contract the parallel CDB wrapper drives: an encoded

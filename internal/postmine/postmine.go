@@ -123,6 +123,7 @@ func Rules(fp []mining.Pattern, minConf float64, numTx int) []Rule {
 	}
 	var out []Rule
 	buf := make([]dataset.Item, 0, 16)
+	chosen := make([]bool, 0, 16)
 	for _, p := range fp {
 		n := len(p.Items)
 		if n < 2 {
@@ -133,13 +134,18 @@ func Rules(fp []mining.Pattern, minConf float64, numTx int) []Rule {
 			continue
 		}
 		full := p.Support
-		// Enumerate antecedents by bitmask (non-empty proper subsets).
-		for mask := 1; mask < 1<<n-1; mask++ {
+		// Enumerate antecedents (non-empty proper subsets); the full set
+		// comes last.
+		chosen = append(chosen[:0], make([]bool, n)...)
+		for mining.NextSubset(chosen) >= 0 {
 			buf = buf[:0]
-			for i := 0; i < n; i++ {
-				if mask&(1<<i) != 0 {
+			for i, c := range chosen {
+				if c {
 					buf = append(buf, p.Items[i])
 				}
+			}
+			if len(buf) == n {
+				break
 			}
 			antSup, ok := bySet[mining.Key(buf)]
 			if !ok {
@@ -151,8 +157,8 @@ func Rules(fp []mining.Pattern, minConf float64, numTx int) []Rule {
 			}
 			ant := append([]dataset.Item(nil), buf...)
 			cons := make([]dataset.Item, 0, n-len(ant))
-			for i := 0; i < n; i++ {
-				if mask&(1<<i) == 0 {
+			for i, c := range chosen {
+				if !c {
 					cons = append(cons, p.Items[i])
 				}
 			}

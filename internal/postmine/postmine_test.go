@@ -192,12 +192,16 @@ func TestRulesExhaustive(t *testing.T) {
 		if n < 2 {
 			continue
 		}
-		for mask := 1; mask < 1<<n-1; mask++ {
+		chosen := make([]bool, n)
+		for mining.NextSubset(chosen) >= 0 {
 			var ant []dataset.Item
-			for i := 0; i < n; i++ {
-				if mask&(1<<i) != 0 {
+			for i, c := range chosen {
+				if c {
 					ant = append(ant, p.Items[i])
 				}
+			}
+			if len(ant) == n {
+				break
 			}
 			if float64(p.Support)/float64(sup[mining.Key(ant)]) >= minConf {
 				want++

@@ -314,10 +314,10 @@ func mineEncodedInto(m *ctx, blocks []core.Block, loose [][]dataset.Item, flist 
 	mk := m.arena.mark()
 	tr := m.getTree()
 	buildTree(tr, blocks, loose)
-	m.growth(tr, append(m.prefix[:0], prefix...))
+	m.growth(tr, m.Prefix(prefix))
 	m.putTree(tr)
 	m.arena.release(mk)
-	m.sink, m.cancel = nil, nil
+	m.Release()
 }
 
 // sharedTree is the fan-out state PrepareShared hands to concurrent
@@ -379,19 +379,14 @@ func (Miner) MineSharedTask(c context.Context, sc, shared any, task dataset.Item
 	return core.Cancellable(c, st.min, func(cancel *mining.Canceller) {
 		m.reset(st.flist, st.min, sink, cancel)
 		mk := m.arena.mark()
-		m.mineItem(st.tr, task, append(append(m.prefix[:0], prefix...), 0))
+		m.mineItem(st.tr, task, append(m.Prefix(prefix), 0))
 		m.arena.release(mk)
-		m.sink, m.cancel = nil, nil
+		m.Release()
 	})
 }
 
 type ctx struct {
-	flist   *mining.FList
-	min     int
-	sink    mining.Sink
-	decoded []dataset.Item
-	width   int
-	cancel  *mining.Canceller // nil when mining without a context
+	mining.Emitter
 
 	arena nodeArena
 	trees []*tree // free list; conditional trees are strictly nested
@@ -406,38 +401,19 @@ type ctx struct {
 	giMap      []int32
 	spItems    []dataset.Item // singleRealPath scratch
 	spCounts   []int
-	prefix     []dataset.Item // prefix scratch, reused across calls
-	enumBuf    []dataset.Item // combination-enumeration scratch
 }
 
-// reset rebinds the per-call fields, keeping the pooled buffers when the
-// F-list width is unchanged (the parallel steady path) and rebuilding them
-// otherwise.
+// reset binds the emitter and sizes the width-sized scratch: pooled trees
+// survive while the F-list width does not grow.
 func (m *ctx) reset(flist *mining.FList, minCount int, sink mining.Sink, cancel *mining.Canceller) {
-	n := flist.Len()
-	if cap(m.decoded) < n {
-		m.decoded = make([]dataset.Item, n)
-		m.condCounts = make([]int, n)
+	if m.Reset(flist, minCount, sink, cancel) {
 		m.trees = nil // pooled trees are width-sized
+	}
+	if n := flist.Len(); cap(m.condCounts) < n {
+		m.condCounts = make([]int, n)
 	} else {
-		m.decoded = m.decoded[:n]
-		if cap(m.condCounts) < n {
-			m.condCounts = make([]int, n)
-		} else {
-			m.condCounts = m.condCounts[:n]
-		}
-		for _, tr := range m.trees {
-			if len(tr.heads) < n {
-				m.trees = nil
-				break
-			}
-		}
+		m.condCounts = m.condCounts[:n]
 	}
-	if cap(m.prefix) < n+1 {
-		m.prefix = make([]dataset.Item, 0, n+1)
-	}
-	m.width = n
-	m.flist, m.min, m.sink, m.cancel = flist, minCount, sink, cancel
 }
 
 // getTree returns a cleared tree whose nodes draw from the ctx arena. The
@@ -457,9 +433,9 @@ func (m *ctx) getTree() *tree {
 		tr.pathCache = tr.pathCache[:0]
 		tr.patSlab = tr.patSlab[:0]
 	} else {
-		tr = &tree{heads: make([]*node, m.width), counts: make([]int, m.width)}
+		tr = &tree{heads: make([]*node, m.FList.Len()), counts: make([]int, m.FList.Len())}
 	}
-	tr.nItems = m.width
+	tr.nItems = m.FList.Len()
 	tr.arena = &m.arena
 	tr.root = m.arena.get(-1, -1, nil)
 	return tr
@@ -470,14 +446,10 @@ func (m *ctx) putTree(tr *tree) {
 	m.trees = append(m.trees, tr)
 }
 
-func (m *ctx) emit(prefix []dataset.Item, support int) {
-	m.sink.Emit(m.flist.DecodeInto(m.decoded, prefix), support)
-}
-
 // growth mines one compressed (conditional) tree.
 func (m *ctx) growth(tr *tree, prefix []dataset.Item) {
 	// Cooperative cancellation, one cheap check per conditional tree.
-	if m.cancel.Check() != nil {
+	if m.Cancel.Check() != nil {
 		return
 	}
 	// Lemma 3.1 shortcut: the whole tree is one group-head node with no
@@ -485,24 +457,24 @@ func (m *ctx) growth(tr *tree, prefix []dataset.Item) {
 	// projection handed to MineEncoded may hold a lone group below minCount,
 	// which then has nothing frequent to enumerate.
 	if g, count := tr.loneGroup(); g >= 0 {
-		if count >= m.min {
-			m.enumerate(tr.groups[g], count, prefix)
+		if count >= m.Min {
+			m.Combinations(tr.groups[g], count, prefix)
 		}
 		return
 	}
 	// Classic single-path shortcut when no specials are involved.
 	if items, counts, ok := tr.singleRealPath(m.spItems[:0], m.spCounts[:0]); ok {
 		m.spItems, m.spCounts = items[:0], counts[:0]
-		m.enumeratePath(items, counts, prefix)
+		m.PathCombinations(items, counts, prefix)
 		return
 	}
 
 	prefix = append(prefix, 0)
 	for r := 0; r < tr.nItems; r++ {
-		if tr.counts[r] < m.min {
+		if tr.counts[r] < m.Min {
 			continue
 		}
-		if m.cancel.Check() != nil {
+		if m.Cancel.Check() != nil {
 			return
 		}
 		m.mineItem(tr, dataset.Item(r), prefix)
@@ -517,7 +489,7 @@ func (m *ctx) growth(tr *tree, prefix []dataset.Item) {
 // before recursing into the conditional tree.
 func (m *ctx) mineItem(tr *tree, it dataset.Item, prefix []dataset.Item) {
 	prefix[len(prefix)-1] = it
-	m.emit(prefix, tr.counts[it])
+	m.Emit(prefix, tr.counts[it])
 
 	// Pass A: support counts over the conditional pattern base, drawn
 	// from the item's physical nodes and from the groups whose pattern
@@ -529,7 +501,7 @@ func (m *ctx) mineItem(tr *tree, it dataset.Item, prefix []dataset.Item) {
 	for n := tr.heads[it]; n != nil; n = n.next {
 		for p := n.parent; p != nil; p = p.parent {
 			if p.group >= 0 {
-				for _, bi := range restrict(tr.groups[p.group], it) {
+				for _, bi := range mining.After(tr.groups[p.group], it) {
 					condCounts[bi] += n.count
 				}
 				break // group heads sit directly below the root
@@ -540,19 +512,19 @@ func (m *ctx) mineItem(tr *tree, it dataset.Item, prefix []dataset.Item) {
 		}
 	}
 	for _, gi := range tr.groupsWith(it) {
-		rest := restrict(tr.groups[gi], it)
+		rest := mining.After(tr.groups[gi], it)
 		for _, pe := range tr.paths(gi) {
 			for _, bi := range rest {
 				condCounts[bi] += pe.count
 			}
-			for _, bi := range restrict(pe.items, it) {
+			for _, bi := range mining.After(pe.items, it) {
 				condCounts[bi] += pe.count
 			}
 		}
 	}
 	any := false
 	for _, c := range condCounts {
-		if c >= m.min {
+		if c >= m.Min {
 			any = true
 			break
 		}
@@ -584,8 +556,8 @@ func (m *ctx) mineItem(tr *tree, it dataset.Item, prefix []dataset.Item) {
 			return g
 		}
 		pbuf := m.pbuf[:0]
-		for _, bi := range restrict(tr.groups[srcGi], it) {
-			if condCounts[bi] >= m.min {
+		for _, bi := range mining.After(tr.groups[srcGi], it) {
+			if condCounts[bi] >= m.Min {
 				pbuf = append(pbuf, bi)
 			}
 		}
@@ -604,7 +576,7 @@ func (m *ctx) mineItem(tr *tree, it dataset.Item, prefix []dataset.Item) {
 		}
 		tbuf := m.tbuf[:0]
 		for _, bi := range tail {
-			if condCounts[bi] >= m.min {
+			if condCounts[bi] >= m.Min {
 				tbuf = append(tbuf, bi)
 			}
 		}
@@ -633,7 +605,7 @@ func (m *ctx) mineItem(tr *tree, it dataset.Item, prefix []dataset.Item) {
 	}
 	for _, gi := range tr.groupsWith(it) {
 		for _, pe := range tr.paths(gi) {
-			tail := restrict(pe.items, it)
+			tail := mining.After(pe.items, it)
 			if len(tail) > 0 || len(tr.groups[gi]) > 0 {
 				insert(gi, tail, pe.count)
 			}
@@ -644,20 +616,6 @@ func (m *ctx) mineItem(tr *tree, it dataset.Item, prefix []dataset.Item) {
 	}
 	m.putTree(cond)
 	m.arena.release(mk)
-}
-
-// restrict returns the items of sorted pattern strictly greater than it.
-func restrict(pattern []dataset.Item, it dataset.Item) []dataset.Item {
-	lo, hi := 0, len(pattern)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if pattern[mid] <= it {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return pattern[lo:]
 }
 
 // loneGroup reports whether the tree is exactly one group-head node with no
@@ -694,61 +652,5 @@ func (tr *tree) singleRealPath(items []dataset.Item, counts []int) ([]dataset.It
 		}
 		items = append(items, cur.item)
 		counts = append(counts, cur.count)
-	}
-}
-
-// enumerate emits every non-empty combination of items at the given support.
-func (m *ctx) enumerate(items []dataset.Item, support int, prefix []dataset.Item) {
-	n := len(items)
-	if n > 62 {
-		panic("rpfptree: group enumeration over more than 62 items")
-	}
-	base := len(prefix)
-	buf := append(m.enumBuf[:0], prefix...)
-	defer func() { m.enumBuf = buf }()
-	for mask := uint64(1); mask < 1<<uint(n); mask++ {
-		// The enumeration can cover up to 2^62 patterns, so it must honor
-		// cancellation like the recursion proper.
-		if m.cancel.Check() != nil {
-			return
-		}
-		buf = buf[:base]
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				buf = append(buf, items[i])
-			}
-		}
-		m.emit(buf, support)
-	}
-}
-
-// enumeratePath is the classic single-path shortcut: combinations of path
-// items, supported by the deepest selected node's count.
-func (m *ctx) enumeratePath(items []dataset.Item, counts []int, prefix []dataset.Item) {
-	n := len(items)
-	if n == 0 {
-		return
-	}
-	if n > 62 {
-		panic("rpfptree: single path longer than 62 items")
-	}
-	base := len(prefix)
-	buf := append(m.enumBuf[:0], prefix...)
-	defer func() { m.enumBuf = buf }()
-	for mask := uint64(1); mask < 1<<uint(n); mask++ {
-		if m.cancel.Check() != nil {
-			return
-		}
-		buf = buf[:base]
-		sup := 0
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				buf = append(buf, items[i])
-				sup = counts[i]
-			}
-		}
-		if sup >= m.min {
-			m.emit(buf, sup)
-		}
 	}
 }

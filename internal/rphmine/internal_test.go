@@ -9,7 +9,9 @@ import (
 
 // newTestCtx builds a ctx over an explicit arena for span-helper tests.
 func newTestCtx(arena []dataset.Item, min int) *ctx {
-	return &ctx{arena: arena, min: min, flist: mining.NewFList([]int{5, 5, 5, 5, 5, 5, 5, 5}, 1)}
+	m := &ctx{arena: arena}
+	m.Reset(mining.NewFList([]int{5, 5, 5, 5, 5, 5, 5, 5}, 1), min, nil, nil)
+	return m
 }
 
 func TestSpanHelpers(t *testing.T) {
@@ -88,14 +90,14 @@ func TestSingleGroupDetection(t *testing.T) {
 		lv.counts[it] = 4
 		lv.touched = append(lv.touched, it)
 	}
-	if got := m.singleGroup(lv); got == nil {
+	if got := m.singleGroup(lv, m.frequentItems(lv)); got == nil {
 		t.Fatal("single group not detected")
 	}
 
 	// A tail occurrence of a frequent item breaks the condition (counts no
 	// longer equal the group count).
 	lv.counts[1] = 5
-	if got := m.singleGroup(lv); got != nil {
+	if got := m.singleGroup(lv, m.frequentItems(lv)); got != nil {
 		t.Fatal("detector ignored an out-of-group occurrence")
 	}
 	lv.counts[1] = 4
@@ -103,7 +105,7 @@ func TestSingleGroupDetection(t *testing.T) {
 	// A frequent item outside the suffix breaks it too.
 	lv.counts[3] = 4
 	lv.touched = append(lv.touched, 3)
-	if got := m.singleGroup(lv); got != nil {
+	if got := m.singleGroup(lv, m.frequentItems(lv)); got != nil {
 		t.Fatal("detector ignored a frequent item outside the group")
 	}
 }
@@ -112,16 +114,15 @@ func TestSingleGroupDetection(t *testing.T) {
 // against 2^n - 1.
 func TestEnumerateEmitsAllCombinations(t *testing.T) {
 	m := newTestCtx(nil, 1)
-	m.sink = &mining.Collector{}
-	m.decoded = make([]dataset.Item, 8)
+	m.Sink = &mining.Collector{}
 	lv := m.getLevel()
 	defer m.putLevel(lv)
 	for _, it := range []dataset.Item{0, 2, 5} {
 		lv.counts[it] = 3
 		lv.touched = append(lv.touched, it)
 	}
-	m.enumerate(lv, 3, nil)
-	col := m.sink.(*mining.Collector)
+	m.Combinations(m.frequentItems(lv), 3, nil)
+	col := m.Sink.(*mining.Collector)
 	if len(col.Patterns) != 7 {
 		t.Fatalf("enumerated %d patterns, want 7", len(col.Patterns))
 	}

@@ -105,7 +105,10 @@ func (Miner) MineEncoded(c context.Context, sc any, blocks []core.Block, loose [
 }
 
 func mineEncodedInto(m *ctx, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink, cancel *mining.Canceller) {
-	m.reset(flist, minCount, sink, cancel)
+	if m.Reset(flist, minCount, sink, cancel) {
+		m.pool = nil // pooled levels are width-sized
+	}
+	m.arena = m.arena[:0]
 	// Build the RP-Struct arena: one copy of every suffix, tail, and loose
 	// tuple.
 	root := m.getLevel()
@@ -125,49 +128,16 @@ func mineEncodedInto(m *ctx, blocks []core.Block, loose [][]dataset.Item, flist 
 	for _, t := range loose {
 		root.loose = append(root.loose, put(t))
 	}
-	m.mine(root, append(m.prefix[:0], prefix...))
+	m.mine(root, m.Prefix(prefix))
 	m.putLevel(root)
-	m.sink, m.cancel = nil, nil // do not retain per-call state past the call
+	m.Release()
 }
 
 type ctx struct {
-	arena   []dataset.Item
-	flist   *mining.FList
-	min     int
-	sink    mining.Sink
-	decoded []dataset.Item
-	pool    []*level
-	prefix  []dataset.Item // prefix scratch, reused across calls
-	enumBuf []dataset.Item // enumeration scratch, reused across calls
-	enumIts []dataset.Item
-	cancel  *mining.Canceller // nil when mining without a context
-}
-
-// reset rebinds the per-call fields, keeping the pooled buffers when the
-// F-list width is unchanged (the parallel steady path) and rebuilding them
-// otherwise.
-func (m *ctx) reset(flist *mining.FList, minCount int, sink mining.Sink, cancel *mining.Canceller) {
-	n := flist.Len()
-	if cap(m.decoded) < n {
-		m.decoded = make([]dataset.Item, n)
-		m.pool = nil // pooled levels are width-sized
-	} else {
-		m.decoded = m.decoded[:n]
-		for _, l := range m.pool {
-			if len(l.counts) < n {
-				m.pool = nil
-				break
-			}
-		}
-	}
-	if cap(m.prefix) < n+1 {
-		m.prefix = make([]dataset.Item, 0, n+1)
-	}
-	if cap(m.enumBuf) < n+1 {
-		m.enumBuf = make([]dataset.Item, 0, n+1)
-	}
-	m.arena = m.arena[:0]
-	m.flist, m.min, m.sink, m.cancel = flist, minCount, sink, cancel
+	mining.Emitter
+	arena []dataset.Item
+	pool  []*level
+	freq  []dataset.Item // frequentItems scratch, reused across calls
 }
 
 func (m *ctx) getLevel() *level {
@@ -176,7 +146,7 @@ func (m *ctx) getLevel() *level {
 		m.pool = m.pool[:n-1]
 		return l
 	}
-	n := m.flist.Len()
+	n := m.FList.Len()
 	return &level{counts: make([]int, n), gq: make([][]int32, n), tq: make([][]tailRef, n)}
 }
 
@@ -193,14 +163,10 @@ func (m *ctx) putLevel(l *level) {
 	m.pool = append(m.pool, l)
 }
 
-func (m *ctx) emit(prefix []dataset.Item, support int) {
-	m.sink.Emit(m.flist.DecodeInto(m.decoded, prefix), support)
-}
-
 // mine processes one projected compressed database held in lv.
 func (m *ctx) mine(lv *level, prefix []dataset.Item) {
 	// Cooperative cancellation, one cheap check per recursion node.
-	if m.cancel.Check() != nil {
+	if m.Cancel.Check() != nil {
 		return
 	}
 	// Fill the RP-header table: one pass over the structure. Group patterns
@@ -231,20 +197,15 @@ func (m *ctx) mine(lv *level, prefix []dataset.Item) {
 	}
 	slices.Sort(lv.touched)
 
-	nFreq := 0
-	for _, it := range lv.touched {
-		if lv.counts[it] >= m.min {
-			nFreq++
-		}
-	}
-	if nFreq == 0 {
+	freq := m.frequentItems(lv)
+	if len(freq) == 0 {
 		return
 	}
 
 	// Lemma 3.1: every frequent item inside a single group's pattern, with
 	// no occurrences elsewhere — finish by enumeration.
-	if g := m.singleGroup(lv); g != nil {
-		m.enumerate(lv, int(g.count), prefix)
+	if g := m.singleGroup(lv, freq); g != nil {
+		m.Combinations(freq, int(g.count), prefix)
 		return
 	}
 
@@ -276,15 +237,15 @@ func (m *ctx) mine(lv *level, prefix []dataset.Item) {
 	// item's projected compressed database (Figure 8).
 	prefix = append(prefix, 0)
 	for ti := 0; ti < len(lv.touched); ti++ {
-		if m.cancel.Check() != nil {
+		if m.Cancel.Check() != nil {
 			return
 		}
 		r := lv.touched[ti]
-		if lv.counts[r] < m.min {
+		if lv.counts[r] < m.Min {
 			continue
 		}
 		prefix[len(prefix)-1] = r
-		m.emit(prefix, lv.counts[r])
+		m.Emit(prefix, lv.counts[r])
 
 		child := m.getLevel()
 
@@ -403,23 +364,13 @@ func (m *ctx) mine(lv *level, prefix []dataset.Item) {
 
 // singleGroup returns the unique group holding every frequent occurrence
 // (counts[f] == g.count and f in g.suffix for all frequent f), or nil.
-func (m *ctx) singleGroup(lv *level) *wg {
-	var f0 dataset.Item = -1
-	for _, it := range lv.touched {
-		if lv.counts[it] >= m.min {
-			f0 = it
-			break
-		}
-	}
+func (m *ctx) singleGroup(lv *level, frequent []dataset.Item) *wg {
 	for i := range lv.wgs {
 		g := &lv.wgs[i]
-		if m.spanIdx(g.suffix, f0) < 0 {
+		if m.spanIdx(g.suffix, frequent[0]) < 0 {
 			continue
 		}
-		for _, f := range lv.touched {
-			if lv.counts[f] < m.min {
-				continue
-			}
+		for _, f := range frequent {
 			if lv.counts[f] != int(g.count) || m.spanIdx(g.suffix, f) < 0 {
 				return nil
 			}
@@ -429,43 +380,24 @@ func (m *ctx) singleGroup(lv *level) *wg {
 	return nil
 }
 
-// enumerate emits every combination of the frequent items at the given
-// support (Lemma 3.1).
-func (m *ctx) enumerate(lv *level, support int, prefix []dataset.Item) {
-	items := m.enumIts[:0]
+// frequentItems returns lv's frequent items in rank order, in a buffer the
+// next call overwrites.
+func (m *ctx) frequentItems(lv *level) []dataset.Item {
+	items := m.freq[:0]
 	for _, it := range lv.touched {
-		if lv.counts[it] >= m.min {
+		if lv.counts[it] >= m.Min {
 			items = append(items, it)
 		}
 	}
-	m.enumIts = items
-	n := len(items)
-	if n > 62 {
-		panic("rphmine: single-group enumeration over more than 62 items")
-	}
-	base := len(prefix)
-	buf := append(m.enumBuf[:0], prefix...)
-	for mask := uint64(1); mask < 1<<uint(n); mask++ {
-		// The enumeration can cover up to 2^62 patterns, so it must honor
-		// cancellation like the recursion proper.
-		if m.cancel.Check() != nil {
-			return
-		}
-		buf = buf[:base]
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				buf = append(buf, items[i])
-			}
-		}
-		m.emit(buf, support)
-	}
+	m.freq = items
+	return items
 }
 
 // nextAt returns the first arena index in [from, end) holding a frequent
 // item, or end.
 func (m *ctx) nextAt(from, end int32, counts []int) int32 {
 	for ; from < end; from++ {
-		if counts[m.arena[from]] >= m.min {
+		if counts[m.arena[from]] >= m.Min {
 			return from
 		}
 	}

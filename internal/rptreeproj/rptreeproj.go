@@ -45,22 +45,17 @@ func (Miner) MineEncoded(c context.Context, sc any, blocks []core.Block, loose [
 		m = &ctx{}
 	}
 	return core.Cancellable(c, minCount, func(cancel *mining.Canceller) {
-		m.reset(flist, minCount, sink, cancel)
-		m.node(blocks, loose, append(m.prefix[:0], prefix...))
-		m.sink, m.cancel = nil, nil
+		if m.Reset(flist, minCount, sink, cancel) {
+			m.pool = nil // pooled levels are width-sized
+		}
+		m.node(blocks, loose, m.Prefix(prefix))
+		m.Release()
 	})
 }
 
 type ctx struct {
-	flist   *mining.FList
-	min     int
-	sink    mining.Sink
-	decoded []dataset.Item
-	width   int
-	cancel  *mining.Canceller // nil when mining without a context
-	pool    []*tpLevel        // free per-depth counting tables
-	prefix  []dataset.Item    // prefix scratch, reused across calls
-	enumBuf []dataset.Item    // single-group enumeration scratch
+	mining.Emitter
+	pool []*tpLevel // free per-depth counting tables
 }
 
 // tpLevel is one tree depth's working set: extension counts, the local item
@@ -77,30 +72,6 @@ type tpLevel struct {
 	proj   core.ProjScratch
 }
 
-// reset rebinds the per-call fields, keeping the pooled buffers when the
-// F-list width is unchanged (the parallel steady path) and rebuilding them
-// otherwise.
-func (m *ctx) reset(flist *mining.FList, minCount int, sink mining.Sink, cancel *mining.Canceller) {
-	n := flist.Len()
-	if cap(m.decoded) < n {
-		m.decoded = make([]dataset.Item, n)
-		m.pool = nil // pooled levels are width-sized
-	} else {
-		m.decoded = m.decoded[:n]
-		for _, lv := range m.pool {
-			if len(lv.counts) < n {
-				m.pool = nil
-				break
-			}
-		}
-	}
-	if cap(m.prefix) < n+1 {
-		m.prefix = make([]dataset.Item, 0, n+1)
-	}
-	m.width = n
-	m.flist, m.min, m.sink, m.cancel = flist, minCount, sink, cancel
-}
-
 func (m *ctx) getLevel() *tpLevel {
 	if n := len(m.pool); n > 0 {
 		lv := m.pool[n-1]
@@ -108,20 +79,17 @@ func (m *ctx) getLevel() *tpLevel {
 		clear(lv.counts) // pos is fully re-filled per node; counts must start zero
 		return lv
 	}
-	return &tpLevel{counts: make([]int, m.width), pos: make([]int32, m.width)}
+	n := m.FList.Len()
+	return &tpLevel{counts: make([]int, n), pos: make([]int32, n)}
 }
 
 func (m *ctx) putLevel(lv *tpLevel) { m.pool = append(m.pool, lv) }
-
-func (m *ctx) emit(prefix []dataset.Item, support int) {
-	m.sink.Emit(m.flist.DecodeInto(m.decoded, prefix), support)
-}
 
 // node processes one lexicographic-tree node over a compressed projected
 // set.
 func (m *ctx) node(blocks []core.Block, loose [][]dataset.Item, prefix []dataset.Item) {
 	// Cooperative cancellation, one cheap check per tree node.
-	if m.cancel.Check() != nil {
+	if m.Cancel.Check() != nil {
 		return
 	}
 	lv := m.getLevel()
@@ -145,8 +113,8 @@ func (m *ctx) node(blocks []core.Block, loose [][]dataset.Item, prefix []dataset
 		}
 	}
 	exts := lv.exts[:0]
-	for r := 0; r < m.width; r++ {
-		if counts[r] >= m.min {
+	for r := 0; r < m.FList.Len(); r++ {
+		if counts[r] >= m.Min {
 			exts = append(exts, dataset.Item(r))
 		}
 	}
@@ -156,8 +124,8 @@ func (m *ctx) node(blocks []core.Block, loose [][]dataset.Item, prefix []dataset
 	}
 
 	// Lemma 3.1: all frequent occurrences inside one block's pattern.
-	if b := singleGroup(blocks, exts, counts); b != nil {
-		m.enumerate(exts, b.Count, prefix)
+	if b := core.SingleGroup(blocks, exts, func(f dataset.Item) int { return counts[f] }); b != nil {
+		m.Combinations(exts, b.Count, prefix)
 		return
 	}
 
@@ -229,16 +197,16 @@ func (m *ctx) node(blocks []core.Block, loose [][]dataset.Item, prefix []dataset
 
 	prefix = append(prefix, 0)
 	for i, e := range exts {
-		if m.cancel.Check() != nil {
+		if m.Cancel.Check() != nil {
 			return
 		}
 		prefix[len(prefix)-1] = e
-		m.emit(prefix, counts[e])
+		m.Emit(prefix, counts[e])
 
 		// Child extensions known from the matrix before projecting.
 		nChild := 0
 		for j := i + 1; j < k; j++ {
-			if matrix[i*k+j] >= m.min {
+			if matrix[i*k+j] >= m.Min {
 				nChild++
 			}
 		}
@@ -253,65 +221,4 @@ func (m *ctx) node(blocks []core.Block, loose [][]dataset.Item, prefix []dataset
 			m.node(childBlocks, childLoose, prefix)
 		}
 	}
-}
-
-// singleGroup mirrors the check in core: the unique block holding every
-// frequent occurrence, or nil.
-func singleGroup(blocks []core.Block, frequent []dataset.Item, counts []int) *core.Block {
-	f0 := frequent[0]
-	for i := range blocks {
-		b := &blocks[i]
-		if idxOf(b.Suffix, f0) < 0 {
-			continue
-		}
-		for _, f := range frequent {
-			if counts[f] != b.Count || idxOf(b.Suffix, f) < 0 {
-				return nil
-			}
-		}
-		return b
-	}
-	return nil
-}
-
-// enumerate emits every non-empty combination of items at the given support.
-func (m *ctx) enumerate(items []dataset.Item, support int, prefix []dataset.Item) {
-	n := len(items)
-	if n > 62 {
-		panic("rptreeproj: single-group enumeration over more than 62 items")
-	}
-	base := len(prefix)
-	buf := append(m.enumBuf[:0], prefix...)
-	defer func() { m.enumBuf = buf }()
-	for mask := uint64(1); mask < 1<<uint(n); mask++ {
-		// The enumeration can cover up to 2^62 patterns, so it must honor
-		// cancellation like the tree walk proper.
-		if m.cancel.Check() != nil {
-			return
-		}
-		buf = buf[:base]
-		for i := 0; i < n; i++ {
-			if mask&(1<<uint(i)) != 0 {
-				buf = append(buf, items[i])
-			}
-		}
-		m.emit(buf, support)
-	}
-}
-
-// idxOf returns the index of r in sorted s, or -1.
-func idxOf(s []dataset.Item, r dataset.Item) int {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s[mid] < r {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(s) && s[lo] == r {
-		return lo
-	}
-	return -1
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"testing"
+	"time"
 
 	"gogreen/internal/core"
 	"gogreen/internal/dataset"
@@ -66,6 +67,40 @@ func EngineDenseSingleGroup(t *testing.T, eng core.CDBMiner) {
 	rec := recycler(Oracle(t, db, 40).Slice(), core.MCP, eng)
 	for _, min := range []int{40, 2, 1} {
 		CheckAgainstOracle(t, rec, db, min)
+	}
+}
+
+// RepeatedTuple returns a database of copies identical tuples
+// {0, 1, ..., width-1}: one group and, at any threshold up to copies, 2^width-1
+// frequent patterns.
+func RepeatedTuple(width, copies int) *dataset.DB {
+	tuple := make([]dataset.Item, width)
+	for i := range tuple {
+		tuple[i] = dataset.Item(i)
+	}
+	tx := make([][]dataset.Item, copies)
+	for i := range tx {
+		tx[i] = tuple
+	}
+	return dataset.New(tx)
+}
+
+// EngineDeepSingleGroup compresses ten copies of one 64-item tuple by that
+// tuple, leaving a single group whose Lemma 3.1 enumeration covers 2^64-1
+// patterns. Under a 50 ms deadline the mine must stop with
+// DeadlineExceeded, neither panicking nor running on.
+func EngineDeepSingleGroup(t *testing.T, eng core.CDBMiner) {
+	db := RepeatedTuple(64, 10)
+	cdb := core.Compress(db, []mining.Pattern{{Items: db.All()[0], Support: 10}}, core.MCP)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	var c mining.Count
+	start := time.Now()
+	if err := eng.MineCDB(ctx, cdb, 10, &c); err != context.DeadlineExceeded {
+		t.Errorf("err = %v after %d patterns, want context.DeadlineExceeded", err, c.N)
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Errorf("returned %v after a 50ms deadline", el)
 	}
 }
 

@@ -60,6 +60,28 @@ func RandomDB(r *rand.Rand, numTx, numItems, maxLen int) *dataset.DB {
 	return dataset.New(tx)
 }
 
+// DBFromBytes decodes fuzz input into a small database: each byte
+// contributes one item (its low four bits); a high bit starts a new tuple.
+// Bounded to 160 bytes to keep mining cheap under the fuzzer.
+func DBFromBytes(data []byte) *dataset.DB {
+	if len(data) > 160 {
+		data = data[:160]
+	}
+	var tx [][]dataset.Item
+	var cur []dataset.Item
+	for _, b := range data {
+		if b&0x80 != 0 && len(cur) > 0 {
+			tx = append(tx, cur)
+			cur = nil
+		}
+		cur = append(cur, dataset.Item(b&0x0f))
+	}
+	if len(cur) > 0 {
+		tx = append(tx, cur)
+	}
+	return dataset.New(tx)
+}
+
 // BruteForce computes the exact frequent-pattern set by enumerating every
 // subset of every transaction. Only usable on tiny databases (transaction
 // length <= 16 or so).
@@ -71,10 +93,11 @@ func BruteForce(t *testing.T, db *dataset.DB, minCount int) mining.PatternSet {
 		if n > 20 {
 			t.Fatalf("BruteForce: transaction too long (%d items)", n)
 		}
-		for mask := 1; mask < 1<<n; mask++ {
+		chosen := make([]bool, n)
+		for mining.NextSubset(chosen) >= 0 {
 			var items []dataset.Item
-			for i := 0; i < n; i++ {
-				if mask&(1<<i) != 0 {
+			for i, c := range chosen {
+				if c {
 					items = append(items, tr[i])
 				}
 			}

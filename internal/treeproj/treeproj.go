@@ -35,24 +35,16 @@ func (*Miner) Mine(db *dataset.DB, minCount int, sink mining.Sink) error {
 		return nil
 	}
 	tx := flist.EncodeDB(db)
-	m := &ctx{flist: flist, min: minCount, sink: sink, decoded: make([]dataset.Item, flist.Len())}
+	m := &ctx{}
+	m.Reset(flist, minCount, sink, nil)
 
 	// Root node: every frequent item is an active extension; emit singles
 	// and recurse with projections.
-	m.node(tx, nil, flist.Len())
+	m.node(tx, m.Prefix(nil), flist.Len())
 	return nil
 }
 
-type ctx struct {
-	flist   *mining.FList
-	min     int
-	sink    mining.Sink
-	decoded []dataset.Item
-}
-
-func (m *ctx) emit(prefix []dataset.Item, support int) {
-	m.sink.Emit(m.flist.DecodeInto(m.decoded, prefix), support)
-}
+type ctx struct{ mining.Emitter }
 
 // node processes one lexicographic-tree node. proj holds the transactions
 // containing the node's pattern, restricted to the node's candidate
@@ -68,7 +60,7 @@ func (m *ctx) node(proj [][]dataset.Item, prefix []dataset.Item, width int) {
 	}
 	exts := make([]dataset.Item, 0, width)
 	for r := 0; r < width; r++ {
-		if counts[r] >= m.min {
+		if counts[r] >= m.Min {
 			exts = append(exts, dataset.Item(r))
 		}
 	}
@@ -108,14 +100,14 @@ func (m *ctx) node(proj [][]dataset.Item, prefix []dataset.Item, width int) {
 	prefix = append(prefix, 0)
 	for i, e := range exts {
 		prefix[len(prefix)-1] = e
-		m.emit(prefix, counts[e])
+		m.Emit(prefix, counts[e])
 
 		// The child's candidate extensions are extensions e' > e with
 		// frequent pair (e, e').
 		childExts := make([]bool, width)
 		nChild := 0
 		for j := i + 1; j < k; j++ {
-			if matrix[i*k+j] >= m.min {
+			if matrix[i*k+j] >= m.Min {
 				childExts[exts[j]] = true
 				nChild++
 			}
