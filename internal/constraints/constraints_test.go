@@ -8,7 +8,6 @@ import (
 	"gogreen/internal/constraints"
 	"gogreen/internal/core"
 	"gogreen/internal/dataset"
-	"gogreen/internal/engine"
 	"gogreen/internal/mining"
 	"gogreen/internal/testutil"
 )
@@ -158,7 +157,7 @@ func TestConstrainedMine(t *testing.T) {
 		}
 		miners := []mining.Miner{
 			apriori.New(),
-			engine.NewRecycler(fp, core.MCP, nil),
+			&core.Recycler{FP: fp, Strategy: core.MCP},
 		}
 		for _, cs := range sets {
 			want := mining.PatternSet{}

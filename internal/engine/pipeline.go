@@ -85,18 +85,6 @@ type PhaseObserver interface {
 	OnPhaseEnd(phase Phase, algo string, elapsed time.Duration)
 }
 
-// ObserverFunc adapts a function to PhaseObserver; it fires on phase end
-// only.
-type ObserverFunc func(phase Phase, algo string, elapsed time.Duration)
-
-// OnPhaseStart implements PhaseObserver as a no-op.
-func (ObserverFunc) OnPhaseStart(Phase, string) {}
-
-// OnPhaseEnd implements PhaseObserver.
-func (f ObserverFunc) OnPhaseEnd(phase Phase, algo string, elapsed time.Duration) {
-	f(phase, algo, elapsed)
-}
-
 // Run is the outcome of one pipeline run: the shared mining.Result plus the
 // canonical name of the algorithm that actually ran (after any par-*
 // promotion) and, for recycled runs, the compression statistics.
@@ -125,7 +113,7 @@ type InstalledRung struct {
 }
 
 // Prior is the reusable knowledge an earlier round left behind, driving the
-// tighten-vs-relax decision of Pipeline.Execute.
+// tighten-vs-relax decision of Pipeline.Serve.
 type Prior struct {
 	// Patterns is the earlier round's complete frequent-pattern set.
 	Patterns []mining.Pattern
@@ -160,8 +148,9 @@ type Pipeline struct {
 	Observer PhaseObserver
 	// Cache, when set, is this database's threshold ladder in a lattice
 	// store. Serve consults it, and every complete collected result of
-	// Mine, MineRecycling, Execute or Serve is installed into it as a rung.
-	// Nil means Serve degrades to Execute and nothing is installed.
+	// Mine, MineRecycling or Serve is installed into it as a rung. Nil means
+	// Serve degrades to the prior-driven decision tree and nothing is
+	// installed.
 	Cache *lattice.Cache
 }
 
@@ -217,35 +206,17 @@ func (p *Pipeline) FreshMiner() (mining.Miner, string, error) {
 	return d.Miner(PoolWorkers(p.MineWorkers)), d.Name, nil
 }
 
-// RecycledEngine constructs the compressed-database engine a recycled run
-// will use and returns it with its canonical name, worker knob applied as
-// in FreshMiner.
-func (p *Pipeline) RecycledEngine() (core.CDBMiner, string, error) {
+// Recycler packages the pipeline's recycled engine (worker knob applied as
+// in FreshMiner), strategy and compression workers behind the mining.Miner
+// interface (via core.Recycler), for callers that compose with constraint
+// pushing. The returned name is the engine's canonical registry name.
+func (p *Pipeline) Recycler(fp []mining.Pattern) (mining.Miner, string, error) {
 	d, err := p.resolveRecycled()
 	if err != nil {
 		return nil, "", err
 	}
-	return d.Engine(PoolWorkers(p.MineWorkers)), d.Name, nil
-}
-
-// Recycler packages the pipeline's recycled engine, strategy and
-// compression workers behind the mining.Miner interface (via
-// core.Recycler), for callers that compose with constraint pushing. The
-// returned name is the engine's canonical registry name.
-func (p *Pipeline) Recycler(fp []mining.Pattern) (mining.Miner, string, error) {
-	eng, name, err := p.RecycledEngine()
-	if err != nil {
-		return nil, "", err
-	}
-	return &core.Recycler{FP: fp, Strategy: p.Strategy, Engine: eng, CompressWorkers: p.CompressWorkers}, name, nil
-}
-
-// NewRecycler assembles a two-phase recycling miner around an explicit
-// engine instance. It exists for tests and ablations that drive configured
-// engine values (e.g. a Naive miner with the Lemma 3.1 shortcut disabled);
-// production surfaces use Pipeline instead.
-func NewRecycler(fp []mining.Pattern, strat core.Strategy, eng core.CDBMiner) *core.Recycler {
-	return &core.Recycler{FP: fp, Strategy: strat, Engine: eng}
+	eng := d.Engine(PoolWorkers(p.MineWorkers))
+	return &core.Recycler{FP: fp, Strategy: p.Strategy, Engine: eng, CompressWorkers: p.CompressWorkers}, d.Name, nil
 }
 
 // collect returns sink unchanged when non-nil, and otherwise a fresh
@@ -353,12 +324,12 @@ func (p *Pipeline) Filter(fp []mining.Pattern, minCount int) Run {
 		Patterns: out, Source: mining.SourceFiltered, MinCount: minCount, Elapsed: elapsed}}
 }
 
-// Execute implements the paper's decision tree for one round given the
+// execute implements the paper's decision tree for one round given the
 // prior round's knowledge: no prior → mine fresh; threshold tightened
 // (prior.MinCount <= minCount) → filter the old result; relaxed → recycle.
 // Run.BasedOn carries prior.Label on the reuse paths. With a Cache attached
 // and no sink, the round's complete result is installed as a rung.
-func (p *Pipeline) Execute(ctx context.Context, db *dataset.DB, prior *Prior, minCount int, sink mining.Sink) (Run, error) {
+func (p *Pipeline) execute(ctx context.Context, db *dataset.DB, prior *Prior, minCount int, sink mining.Sink) (Run, error) {
 	if prior == nil {
 		return p.Mine(ctx, db, minCount, sink)
 	}
@@ -411,15 +382,16 @@ func emitFiltered(run *Run, sink mining.Sink) {
 	run.Patterns = nil
 }
 
-// Serve is the cache-aware entry point: Execute, but consulting and
-// maintaining the threshold lattice. With no Cache configured it is exactly
-// Execute. Otherwise the ladder decides the round:
+// Serve is the cache-aware entry point: the prior-driven decision tree
+// (execute), but consulting and maintaining the threshold lattice. With no
+// Cache configured it is exactly execute. Otherwise the ladder decides the
+// round:
 //
 //   - hit: a rung at ≤ minCount is pure-filtered down — no mining, and
 //     nothing new to install.
 //   - relax: the nearest rung above minCount seeds the recycling pipeline
 //     (unless the caller's prior is a strictly better seed).
-//   - miss: the empty ladder falls back to the prior-driven Execute
+//   - miss: the empty ladder falls back to the prior-driven execute
 //     decision tree.
 //
 // On the relax and miss paths the complete result at minCount is installed
@@ -427,7 +399,7 @@ func emitFiltered(run *Run, sink mining.Sink) {
 // CacheObserver when the pipeline has one.
 func (p *Pipeline) Serve(ctx context.Context, db *dataset.DB, prior *Prior, minCount int, sink mining.Sink) (Run, error) {
 	if p.Cache == nil {
-		return p.Execute(ctx, db, prior, minCount, sink)
+		return p.execute(ctx, db, prior, minCount, sink)
 	}
 	if minCount < 1 {
 		return Run{}, mining.ErrBadMinSupport
@@ -453,11 +425,11 @@ func (p *Pipeline) Serve(ctx context.Context, db *dataset.DB, prior *Prior, minC
 	}
 
 	// Mining is required: the prior-driven decision tree computes the
-	// complete set at minCount, which Execute installs as a new rung.
+	// complete set at minCount, which execute installs as a new rung.
 	if prior != nil && prior.MinCount < 1 {
 		prior = nil // a prior of unknown threshold cannot seed the round
 	}
-	run, err := p.Execute(ctx, db, prior, minCount, nil)
+	run, err := p.execute(ctx, db, prior, minCount, nil)
 	if err != nil {
 		return Run{}, err
 	}

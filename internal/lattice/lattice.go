@@ -27,6 +27,7 @@
 package lattice
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -73,7 +74,7 @@ type rung struct {
 	bytes    int64
 	hits     int64
 	seeds    int64
-	cache    *Cache
+	key      any // the ladder's key
 	// prev/next link the rung into its store's LRU list, least recently
 	// touched first.
 	prev, next *rung
@@ -87,7 +88,10 @@ type Store struct {
 	budget int64
 	bytes  int64
 	rungs  int
-	caches map[any]*Cache
+	// caches holds each key's ladder, sorted by ascending minCount with at
+	// most one rung per threshold. A key is present only while its ladder
+	// holds a rung, so identity keys never pin dead databases.
+	caches map[any][]*rung
 	// lru is the sentinel of the circular list of every resident rung:
 	// lru.next is the least recently touched, lru.prev the most.
 	lru rung
@@ -96,7 +100,7 @@ type Store struct {
 // NewStore returns an empty store with the given byte budget. A non-positive
 // budget means "no caching": installs are dropped immediately.
 func NewStore(budget int64) *Store {
-	s := &Store{budget: budget, caches: map[any]*Cache{}}
+	s := &Store{budget: budget, caches: map[any][]*rung{}}
 	s.lru.prev, s.lru.next = &s.lru, &s.lru
 	return s
 }
@@ -142,51 +146,47 @@ func (s *Store) Rungs() int {
 	return s.rungs
 }
 
-// Cache returns the ladder registered under key, or an empty unregistered
-// handle when none exists. Keys are opaque: the server and facade key by
-// *dataset.DB identity. A handle is only registered in the store when a
-// rung is installed through it, and is dropped again when its last rung is
-// evicted, so identity keys never pin dead databases.
+// Cache returns the view of the ladder under key. Keys are opaque: the
+// server and facade key by *dataset.DB identity. Views hold no state, so
+// every view of one key reads and writes the same ladder.
 func (s *Store) Cache(key any) *Cache {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.caches[key]; ok {
-		return c
-	}
 	return &Cache{store: s, key: key}
 }
 
-// Invalidate drops every rung of the ladder registered under key.
+// Invalidate drops every rung of the ladder under key.
 func (s *Store) Invalidate(key any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c, ok := s.caches[key]; ok {
-		s.dropCacheLocked(c)
+	for _, r := range s.caches[key] {
+		s.bytes -= r.bytes
+		s.rungs--
+		s.unlinkLocked(r)
 	}
+	delete(s.caches, key)
 }
 
 // Reset drops every ladder in the store.
 func (s *Store) Reset() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, c := range s.caches {
-		c.rungs = nil
-	}
-	s.caches = map[any]*Cache{}
+	s.caches = map[any][]*rung{}
 	s.bytes, s.rungs = 0, 0
 	s.lru.prev, s.lru.next = &s.lru, &s.lru
 }
 
-// dropCacheLocked removes c's rungs from the store accounting and the cache
-// itself from the key map; caller holds s.mu.
-func (s *Store) dropCacheLocked(c *Cache) {
-	for _, r := range c.rungs {
-		s.bytes -= r.bytes
-		s.rungs--
-		s.unlinkLocked(r)
+// removeLocked drops r from its ladder, the LRU list and the store
+// accounting, and drops the key with its last rung; caller holds s.mu.
+func (s *Store) removeLocked(r *rung) {
+	ladder := s.caches[r.key]
+	i := slices.Index(ladder, r)
+	if ladder = slices.Delete(ladder, i, i+1); len(ladder) == 0 {
+		delete(s.caches, r.key)
+	} else {
+		s.caches[r.key] = ladder
 	}
-	c.rungs = nil
-	delete(s.caches, c.key)
+	s.bytes -= r.bytes
+	s.rungs--
+	s.unlinkLocked(r)
 }
 
 // evictLocked evicts globally-LRU rungs until the store fits its budget,
@@ -199,54 +199,33 @@ func (s *Store) evictLocked(keep *rung) int {
 		if victim == &s.lru || victim == keep {
 			break // only keep remains; Install pre-checked it fits
 		}
-		victim.cache.removeLocked(victim)
+		s.removeLocked(victim)
 		evicted++
 	}
 	return evicted
 }
 
-// Cache is one database's threshold ladder — a view into its Store. All
-// methods are safe for concurrent use (they lock the store).
+// pickLocked returns the rung that serves minCount from key's ladder: the
+// nearest at or below it (Hit), else the lowest above it (Relax) — the
+// largest recyclable pattern set — else nil (Miss). Caller holds s.mu.
+func (s *Store) pickLocked(key any, minCount int) (*rung, Outcome) {
+	ladder := s.caches[key]
+	if len(ladder) == 0 {
+		return nil, Miss
+	}
+	// i is the first rung above minCount.
+	i := sort.Search(len(ladder), func(i int) bool { return ladder[i].minCount > minCount })
+	if i > 0 {
+		return ladder[i-1], Hit
+	}
+	return ladder[0], Relax
+}
+
+// Cache is one database's threshold ladder — a stateless view into its
+// Store. All methods are safe for concurrent use (they lock the store).
 type Cache struct {
 	store *Store
 	key   any
-	// rungs is kept sorted by ascending minCount; at most one rung per
-	// threshold.
-	rungs []*rung
-}
-
-// Store returns the shared store this ladder lives in.
-func (c *Cache) Store() *Store { return c.store }
-
-// removeLocked unlinks r from c and the store accounting; caller holds
-// store.mu. An emptied cache is dropped from the store's key map so
-// identity-keyed caches do not leak.
-func (c *Cache) removeLocked(r *rung) {
-	for i, x := range c.rungs {
-		if x == r {
-			c.rungs = append(c.rungs[:i], c.rungs[i+1:]...)
-			break
-		}
-	}
-	c.store.bytes -= r.bytes
-	c.store.rungs--
-	c.store.unlinkLocked(r)
-	if len(c.rungs) == 0 {
-		delete(c.store.caches, c.key)
-	}
-}
-
-// redirectLocked returns the cache currently registered for c's key —
-// c itself when it is still the live handle, the fresh handle otherwise.
-// Install re-registers keys whose handle was dropped by eviction, so a
-// stale handle must read through the registered one or it reports Miss
-// against a resident ladder (and triggers a full re-mine). Caller holds
-// store.mu.
-func (c *Cache) redirectLocked() *Cache {
-	if cur, ok := c.store.caches[c.key]; ok && cur != c {
-		return cur
-	}
-	return c
 }
 
 // Best returns the serving decision for an absolute threshold: the chosen
@@ -257,28 +236,20 @@ func (c *Cache) redirectLocked() *Cache {
 //
 // The returned slice is shared and immutable: callers must not modify it.
 func (c *Cache) Best(minCount int) ([]mining.Pattern, int, Outcome) {
-	c.store.mu.Lock()
-	defer c.store.mu.Unlock()
-	c = c.redirectLocked()
-	if len(c.rungs) == 0 {
+	s := c.store
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r, outcome := s.pickLocked(c.key, minCount)
+	switch outcome {
+	case Hit:
+		r.hits++
+	case Relax:
+		r.seeds++
+	default:
 		return nil, 0, Miss
 	}
-	// Rungs are sorted ascending; i is the first rung above minCount.
-	i := sort.Search(len(c.rungs), func(i int) bool { return c.rungs[i].minCount > minCount })
-	if i > 0 {
-		// Nearest rung at or below: its pattern set contains every answer
-		// pattern — the pure-filter path.
-		r := c.rungs[i-1]
-		c.store.touchLocked(r)
-		r.hits++
-		return r.patterns, r.minCount, Hit
-	}
-	// All rungs are above: the lowest one is the closest, i.e. the largest
-	// recyclable pattern set.
-	r := c.rungs[0]
-	c.store.touchLocked(r)
-	r.seeds++
-	return r.patterns, r.minCount, Relax
+	s.touchLocked(r)
+	return r.patterns, r.minCount, outcome
 }
 
 // Peek is Best without touching LRU positions or counters — for surfaces
@@ -286,17 +257,11 @@ func (c *Cache) Best(minCount int) ([]mining.Pattern, int, Outcome) {
 func (c *Cache) Peek(minCount int) ([]mining.Pattern, int, Outcome) {
 	c.store.mu.Lock()
 	defer c.store.mu.Unlock()
-	c = c.redirectLocked()
-	if len(c.rungs) == 0 {
+	r, outcome := c.store.pickLocked(c.key, minCount)
+	if r == nil {
 		return nil, 0, Miss
 	}
-	i := sort.Search(len(c.rungs), func(i int) bool { return c.rungs[i].minCount > minCount })
-	if i > 0 {
-		r := c.rungs[i-1]
-		return r.patterns, r.minCount, Hit
-	}
-	r := c.rungs[0]
-	return r.patterns, r.minCount, Relax
+	return r.patterns, r.minCount, outcome
 }
 
 // Install materializes fp as the rung at minCount, replacing any existing
@@ -319,56 +284,33 @@ func (c *Cache) Install(minCount int, fp []mining.Pattern) (installed bool, evic
 	if bytes > s.budget {
 		return false, 0
 	}
-	// The cache may have been dropped from the store's key map (all rungs
-	// evicted) since this handle was obtained; re-register it.
-	if cur, ok := s.caches[c.key]; !ok {
-		s.caches[c.key] = c
-	} else if cur != c {
-		// A fresh handle for the same key exists; install through it so both
-		// views stay coherent.
-		c = cur
-	}
-	i := sort.Search(len(c.rungs), func(i int) bool { return c.rungs[i].minCount >= minCount })
-	if i < len(c.rungs) && c.rungs[i].minCount == minCount {
-		old := c.rungs[i]
+	ladder := s.caches[c.key]
+	i := sort.Search(len(ladder), func(i int) bool { return ladder[i].minCount >= minCount })
+	if i < len(ladder) && ladder[i].minCount == minCount {
+		old := ladder[i]
 		s.bytes += bytes - old.bytes
 		old.patterns, old.bytes = fp, bytes
 		s.touchLocked(old)
 		return true, s.evictLocked(old)
 	}
-	r := &rung{minCount: minCount, patterns: fp, bytes: bytes, cache: c}
+	r := &rung{minCount: minCount, patterns: fp, bytes: bytes, key: c.key}
 	s.touchLocked(r)
-	c.rungs = append(c.rungs, nil)
-	copy(c.rungs[i+1:], c.rungs[i:])
-	c.rungs[i] = r
+	s.caches[c.key] = slices.Insert(ladder, i, r)
 	s.bytes += bytes
 	s.rungs++
 	return true, s.evictLocked(r)
 }
 
 // Invalidate drops every rung of this ladder.
-func (c *Cache) Invalidate() {
-	c.store.mu.Lock()
-	defer c.store.mu.Unlock()
-	if cur, ok := c.store.caches[c.key]; ok && cur != c {
-		c.store.dropCacheLocked(cur)
-	}
-	for _, r := range c.rungs {
-		c.store.bytes -= r.bytes
-		c.store.rungs--
-		c.store.unlinkLocked(r)
-	}
-	c.rungs = nil
-	delete(c.store.caches, c.key)
-}
+func (c *Cache) Invalidate() { c.store.Invalidate(c.key) }
 
 // Rungs describes the resident ladder, ascending by threshold.
 func (c *Cache) Rungs() []RungInfo {
 	c.store.mu.Lock()
 	defer c.store.mu.Unlock()
-	src := c.redirectLocked().rungs
-	out := make([]RungInfo, len(src))
-	for i, r := range src {
+	ladder := c.store.caches[c.key]
+	out := make([]RungInfo, len(ladder))
+	for i, r := range ladder {
 		out[i] = RungInfo{MinCount: r.minCount, Patterns: len(r.patterns),
 			Bytes: r.bytes, Hits: r.hits, Seeds: r.seeds}
 	}

@@ -11,7 +11,6 @@ import (
 
 	"gogreen/internal/core"
 	"gogreen/internal/dataset"
-	"gogreen/internal/engine"
 	"gogreen/internal/gen"
 	"gogreen/internal/hmine"
 	"gogreen/internal/mining"
@@ -80,14 +79,14 @@ func TestParallelDifferentialPresets(t *testing.T) {
 
 			for _, eng := range engines() {
 				serial := testutil.MineSet(t,
-					engine.NewRecycler(fp, core.MCP, eng), tc.db, mineMin)
+					&core.Recycler{FP: fp, Strategy: core.MCP, Engine: eng}, tc.db, mineMin)
 				if !serial.Equal(truth) {
 					t.Fatalf("serial %s disagrees with hmine: %v", eng.Name(), serial.Diff(truth, 8))
 				}
 				for _, w := range workerGrid() {
 					wrapped := parallel.Wrap(eng, w)
 					got := testutil.MineSet(t,
-						engine.NewRecycler(fp, core.MCP, wrapped), tc.db, mineMin)
+						&core.Recycler{FP: fp, Strategy: core.MCP, Engine: wrapped}, tc.db, mineMin)
 					if !got.Equal(serial) {
 						t.Errorf("%s workers=%d disagrees with serial %s: %v",
 							wrapped.Name(), w, eng.Name(), got.Diff(serial, 8))

@@ -7,7 +7,6 @@ import (
 
 	"gogreen/internal/core"
 	"gogreen/internal/dataset"
-	"gogreen/internal/engine"
 	"gogreen/internal/mining"
 	"gogreen/internal/parallel"
 	"gogreen/internal/rphmine"
@@ -32,7 +31,7 @@ func TestParallelCDBMatchesOracle(t *testing.T) {
 		db := testutil.RandomDB(r, 40+r.Intn(100), 6+r.Intn(12), 2+r.Intn(9))
 		fp := testutil.Oracle(t, db, 5).Slice()
 		for _, workers := range []int{0, 1, 3} {
-			rec := engine.NewRecycler(fp, core.MCP, parallel.Wrap(rphmine.New(), workers))
+			rec := &core.Recycler{FP: fp, Strategy: core.MCP, Engine: parallel.Wrap(rphmine.New(), workers)}
 			testutil.CheckAgainstOracle(t, rec, db, 2)
 		}
 	}

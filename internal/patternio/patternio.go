@@ -40,28 +40,42 @@ type Set struct {
 	MinSupport int
 }
 
-// Write serializes the set.
-func Write(w io.Writer, s Set) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, magic)
+// Append appends the serialized set to dst. It is the only pattern
+// encoder: Write writes its bytes, and the durable store frames them into
+// segment records, so an exported set and a persisted one are
+// byte-identical.
+func Append(dst []byte, s Set) ([]byte, error) {
+	dst = append(dst, magic+"\n"...)
 	if s.MinSupport > 0 {
-		fmt.Fprintf(bw, "# minsupport %d\n", s.MinSupport)
+		dst = append(dst, "# minsupport "...)
+		dst = strconv.AppendInt(dst, int64(s.MinSupport), 10)
+		dst = append(dst, '\n')
 	}
 	for _, p := range s.Patterns {
 		if len(p.Items) == 0 {
-			return fmt.Errorf("%w: empty pattern", ErrBadFormat)
+			return dst, fmt.Errorf("%w: empty pattern", ErrBadFormat)
 		}
 		for i, it := range p.Items {
 			if i > 0 {
-				bw.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			bw.WriteString(strconv.Itoa(int(it)))
+			dst = strconv.AppendInt(dst, int64(it), 10)
 		}
-		bw.WriteByte(':')
-		bw.WriteString(strconv.Itoa(p.Support))
-		bw.WriteByte('\n')
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, int64(p.Support), 10)
+		dst = append(dst, '\n')
 	}
-	return bw.Flush()
+	return dst, nil
+}
+
+// Write serializes the set.
+func Write(w io.Writer, s Set) error {
+	b, err := Append(nil, s)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
 }
 
 // Read parses a pattern set, validating the header, item ids and supports.

@@ -384,6 +384,7 @@ func Open(opts ...Option) (*Server, error) {
 		disk.StartSnapshots(s.snapshotInterval)
 		s.reg.GaugeFunc("store_segments", func() int64 { return int64(disk.Stats().Segments) })
 		s.reg.GaugeFunc("store_bytes", func() int64 { return disk.Stats().DiskBytes })
+		s.reg.GaugeFunc("store_compact_failures", func() int64 { return disk.Stats().CompactFailures })
 		if s.coldAfter > 0 {
 			s.startSweeper()
 		}
@@ -652,8 +653,8 @@ type serverMetrics struct {
 
 	// storeRehydrations counts cold stubs loaded back from the segment
 	// stores; storeEvictions counts databases the cold sweeper spilled.
-	// (store_segments/store_bytes are gauges registered only with a data
-	// dir, since they read the live stores.)
+	// (store_segments/store_bytes/store_compact_failures are gauges
+	// registered only with a data dir, since they read the live stores.)
 	storeRehydrations *metrics.Counter
 	storeEvictions    *metrics.Counter
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -292,6 +293,61 @@ func TestMineStoreFailureIs500(t *testing.T) {
 	}
 	if got := errCount(); got != 1 {
 		t.Fatalf("mine.requests.errors = %d, want 1", got)
+	}
+}
+
+// TestCompactFailuresGauge corrupts the live record of a database on disk
+// under a running snapshot ticker: every compaction then fails, and the
+// store_compact_failures gauge makes that visible while the old segment
+// stays live.
+func TestCompactFailuresGauge(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(WithDataDir(dir), WithSnapshotInterval(5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	h := s.Handler()
+	gauge := func() int64 { return s.reg.Snapshot().Gauges["store_compact_failures"] }
+	if got, ok := s.reg.Snapshot().Gauges["store_compact_failures"]; !ok || got != 0 {
+		t.Fatalf("store_compact_failures = %d (registered %v), want 0", got, ok)
+	}
+	if resp, body := doReq(t, h, "PUT", "/db/d", paperBasket(), nil); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload: %d %s", resp.StatusCode, body)
+	}
+	// Flip one digit of d's body on disk. The store holds no garbage yet,
+	// so the ticker leaves the segment alone until e's re-upload below.
+	seg := filepath.Join(dir, "shard-0", "seg-00000001.log")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, []byte(paperBasket()))
+	if at < 0 {
+		t.Fatal("database body not found in the segment")
+	}
+	f, err := os.OpenFile(seg, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte{data[at] ^ 1}, int64(at)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	for i := 0; i < 2; i++ {
+		if resp, body := doReq(t, h, "PUT", "/db/e", paperBasket(), nil); resp.StatusCode >= 300 {
+			t.Fatalf("upload e: %d %s", resp.StatusCode, body)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for gauge() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("store_compact_failures never rose over a corrupt record")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := os.Stat(seg); err != nil {
+		t.Fatalf("old segment gone after failed compactions: %v", err)
 	}
 }
 

@@ -2,61 +2,89 @@ package store
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"strconv"
+	"time"
 
+	"gogreen/internal/dataset"
 	"gogreen/internal/mining"
+	"gogreen/internal/patternio"
 )
 
-// encoder builds one record payload: a kind byte, the database id, then
-// kind-specific header fields, then (for pattern records) a patternio text
-// body. Header fields are uvarints and length-prefixed strings so payloads
-// are position-independent — compaction copies bodies verbatim.
-type encoder struct {
-	buf []byte
+// A record is framed on disk as u32 payload length, u32 CRC-32C, payload.
+// The payload is a kind byte, the database id, kind-specific header fields
+// (uvarints, length-prefixed strings, a little-endian float64) and, for
+// PutDB, PutSet and PutRung, a body: the database in numeric-id basket
+// format, or the patternio text of a pattern set.
+//
+// Each kind's frame is built by exactly one function below, with its
+// length and checksum left for Store.writeLocked to fill in, and decoded
+// only by Store.applyLocked, the fold that both replay and runtime writes go
+// through. Frames are position-independent, so compaction copies them byte
+// for byte.
+
+// frameHeader is the length and checksum before each payload.
+const frameHeader = 8
+
+// header starts a frame: room for the frame header, the kind and the id.
+func header(kind byte, id string) []byte {
+	b := make([]byte, frameHeader, frameHeader+64+len(id))
+	return appendString(append(b, kind), id)
 }
 
-func newEncoder(kind byte, id string) *encoder {
-	e := &encoder{buf: make([]byte, 0, 64+len(id))}
-	e.buf = append(e.buf, kind)
-	e.string(id)
-	return e
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-func (e *encoder) string(s string) {
-	e.uvarint(uint64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-func (e *encoder) uvarint(v uint64) {
-	e.buf = binary.AppendUvarint(e.buf, v)
-}
-
-func (e *encoder) float(f float64) {
-	e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
-}
-
-// patterns appends the patternio v1 text form of fp — the same bytes
-// patternio.Write emits, so LoadSets/LoadRungs parse bodies with
-// patternio.Read and a persisted set is byte-identical to its exported form.
-func (e *encoder) patterns(fp []mining.Pattern, minCount int) {
-	e.buf = append(e.buf, "# gogreen patterns v1\n"...)
-	if minCount > 0 {
-		e.buf = append(e.buf, "# minsupport "...)
-		e.buf = strconv.AppendInt(e.buf, int64(minCount), 10)
-		e.buf = append(e.buf, '\n')
-	}
-	for i := range fp {
-		for j, it := range fp[i].Items {
+func putDBRecord(id, tenant string, db *dataset.DB) []byte {
+	st := db.Stats()
+	b := appendString(header(kindPutDB, id), tenant)
+	b = binary.AppendUvarint(b, uint64(st.NumTx))
+	b = binary.AppendUvarint(b, uint64(st.NumItems))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(st.AvgLen))
+	for _, t := range db.All() {
+		for j, it := range t {
 			if j > 0 {
-				e.buf = append(e.buf, ',')
+				b = append(b, ' ')
 			}
-			e.buf = strconv.AppendInt(e.buf, int64(it), 10)
+			b = strconv.AppendInt(b, int64(it), 10)
 		}
-		e.buf = append(e.buf, ':')
-		e.buf = strconv.AppendInt(e.buf, int64(fp[i].Support), 10)
-		e.buf = append(e.buf, '\n')
+		b = append(b, '\n')
 	}
+	return b
+}
+
+func deleteDBRecord(id string) []byte { return header(kindDeleteDB, id) }
+
+func putSetRecord(id, name string, minCount int, saved time.Time, fp []mining.Pattern) ([]byte, error) {
+	b := appendString(header(kindPutSet, id), name)
+	b = binary.AppendUvarint(b, uint64(minCount))
+	b = binary.AppendUvarint(b, uint64(saved.UnixNano()))
+	return appendPatterns(b, minCount, fp)
+}
+
+func putRungRecord(id string, minCount int, fp []mining.Pattern) ([]byte, error) {
+	b := binary.AppendUvarint(header(kindPutRung, id), uint64(minCount))
+	return appendPatterns(b, minCount, fp)
+}
+
+func dropRungsRecord(id string) []byte { return header(kindDropRungs, id) }
+
+// appendPatterns ends a PutSet or PutRung payload: the pattern and item
+// counts the index keeps, then the patternio body.
+func appendPatterns(b []byte, minCount int, fp []mining.Pattern) ([]byte, error) {
+	var items int
+	for i := range fp {
+		items += len(fp[i].Items)
+	}
+	b = binary.AppendUvarint(b, uint64(len(fp)))
+	b = binary.AppendUvarint(b, uint64(items))
+	b, err := patternio.Append(b, patternio.Set{Patterns: fp, MinSupport: minCount})
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	return b, nil
 }
 
 // decoder walks a record payload's header fields; err is sticky and pos

@@ -18,9 +18,9 @@
 // fsyncs before the caller acknowledges, so an acknowledged write survives a
 // crash at any instant. Records are never rewritten in place; logically
 // replaced or deleted state becomes garbage that the background snapshot
-// (Compact, or the StartSnapshots ticker) rewrites away: compaction streams
-// the live records into a fresh segment, atomically swaps the manifest, and
-// deletes the old segments.
+// (Compact, or the StartSnapshots ticker) rewrites away: compaction copies
+// the live record frames byte for byte into a fresh segment, atomically
+// swaps the manifest, and deletes the old segments.
 //
 // # Recovery
 //
@@ -31,6 +31,10 @@
 // by length/checksum and truncates it, recovering exactly the records whose
 // fsync was acknowledged. A checksum failure anywhere before the tail is
 // real corruption and fails Open with ErrCorrupt.
+//
+// The index locates whole record frames, so every load and every compaction
+// copy checks the record's checksum: a record corrupted after it was
+// written is refused with ErrCorrupt, never served or re-checksummed.
 package store
 
 import (
@@ -54,7 +58,8 @@ import (
 
 // ErrCorrupt reports a segment whose body (not its torn tail) fails
 // validation: a bad magic, a record checksum mismatch before the final
-// record, or an undecodable payload.
+// record, an undecodable payload, or a stored record that fails its checksum
+// when it is loaded or compacted.
 var ErrCorrupt = errors.New("store: corrupt segment")
 
 // ErrClosed reports use of a closed store.
@@ -92,11 +97,12 @@ const (
 // arm64.
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// recordRef locates one record's payload inside a segment file.
+// recordRef locates one whole record frame inside a segment file.
 type recordRef struct {
-	seg int64 // segment sequence number
-	off int64 // payload offset within the file
-	n   int   // payload length
+	seg  int64 // segment sequence number
+	off  int64 // frame offset within the file
+	n    int   // frame length, frameHeader included
+	head int   // payload header length; the body follows it
 }
 
 // setState is the index entry of one saved pattern set.
@@ -139,8 +145,8 @@ type Store struct {
 	files     map[int64]*os.File // open handles (reads via ReadAt, appends on active)
 	sizes     map[int64]int64    // current byte size per live segment
 	index     map[string]*dbState
-	garbage   int64 // bytes of dead records, reset by compaction
 	compacted int64 // compactions run (stats)
+	failed    int64 // compactions that failed (stats)
 
 	tick chan struct{} // non-nil while the snapshot ticker runs
 	done chan struct{}
@@ -231,9 +237,7 @@ func (s *Store) replaySegment(seq int64, last bool) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	size, err := replayRecords(f, func(ref recordRef, payload []byte) error {
-		return s.applyLocked(seq, ref, payload)
-	}, seq)
+	size, err := replayRecords(f, s.applyLocked, seq)
 	if err != nil {
 		if !errors.Is(err, errTornTail) {
 			f.Close()
@@ -297,7 +301,7 @@ func replayRecords(f *os.File, apply func(ref recordRef, payload []byte) error, 
 		return 0, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
 	}
 	off := int64(len(segMagic))
-	var hdr [8]byte
+	var hdr [frameHeader]byte
 	for {
 		if _, err := io.ReadFull(f, hdr[:]); err != nil {
 			if err == io.EOF {
@@ -323,107 +327,87 @@ func replayRecords(f *os.File, apply func(ref recordRef, payload []byte) error, 
 		if crc32.Checksum(payload, crcTable) != sum {
 			return off, errTornTail
 		}
-		if err := apply(recordRef{seg: seq, off: off + 8, n: int(n)}, payload); err != nil {
+		if err := apply(recordRef{seg: seq, off: off, n: frameHeader + int(n)}, payload); err != nil {
 			return off, err
 		}
-		off += 8 + int64(n)
+		off += frameHeader + int64(n)
 	}
 }
 
-// applyLocked folds one record into the index (Open holds no lock; runtime
-// callers hold s.mu).
-func (s *Store) applyLocked(seq int64, ref recordRef, payload []byte) error {
+// applyLocked folds one record into the index. It is the only decoder of
+// record headers: replay and runtime writes both go through it (Open holds
+// no lock; runtime callers hold s.mu). ref locates the record's frame; the
+// fold records where the payload header ends.
+func (s *Store) applyLocked(ref recordRef, payload []byte) error {
 	d := &decoder{buf: payload}
 	kind := d.byte()
 	id := d.string()
+	db := s.index[id] // nil for a dropped database: its sets and rungs are dead records
 	switch kind {
 	case kindPutDB:
-		tenant := d.string()
-		numTx := int(d.uvarint())
-		numItems := int(d.uvarint())
-		avgLen := d.float()
-		if d.err != nil {
-			return fmt.Errorf("%w: bad putDB record", ErrCorrupt)
-		}
-		if old, ok := s.index[id]; ok {
-			s.garbage += stateBytes(old)
-		}
-		s.index[id] = &dbState{
-			tenant: tenant, numTx: numTx, numItems: numItems, avgLen: avgLen,
-			db:   recordRef{seg: seq, off: ref.off + int64(d.pos), n: ref.n - d.pos},
-			sets: map[string]*setState{}, rungs: map[int]*rungState{},
+		nd := &dbState{sets: map[string]*setState{}, rungs: map[int]*rungState{}}
+		nd.tenant = d.string()
+		nd.numTx = int(d.uvarint())
+		nd.numItems = int(d.uvarint())
+		nd.avgLen = d.float()
+		nd.db, nd.db.head = ref, d.pos
+		if d.err == nil {
+			s.index[id] = nd
 		}
 	case kindDeleteDB:
-		if d.err != nil {
-			return fmt.Errorf("%w: bad deleteDB record", ErrCorrupt)
-		}
-		if old, ok := s.index[id]; ok {
-			s.garbage += stateBytes(old) + int64(ref.n)
+		if d.err == nil {
 			delete(s.index, id)
 		}
 	case kindPutSet:
 		name := d.string()
-		minCount := int(d.uvarint())
-		saved := int64(d.uvarint())
-		patterns := int(d.uvarint())
-		items := int64(d.uvarint())
-		if d.err != nil {
-			return fmt.Errorf("%w: bad putSet record", ErrCorrupt)
-		}
-		db, ok := s.index[id]
-		if !ok {
-			return nil // set for a dropped database: dead record
-		}
-		if old, ok := db.sets[name]; ok {
-			s.garbage += int64(old.ref.n)
-		}
-		db.sets[name] = &setState{
-			ref:      recordRef{seg: seq, off: ref.off + int64(d.pos), n: ref.n - d.pos},
-			minCount: minCount, patterns: patterns, items: items, saved: saved,
+		set := &setState{}
+		set.minCount = int(d.uvarint())
+		set.saved = int64(d.uvarint())
+		set.patterns = int(d.uvarint())
+		set.items = int64(d.uvarint())
+		set.ref, set.ref.head = ref, d.pos
+		if db != nil && d.err == nil {
+			db.sets[name] = set
 		}
 	case kindPutRung:
 		minCount := int(d.uvarint())
-		patterns := int(d.uvarint())
-		items := int64(d.uvarint())
-		if d.err != nil {
-			return fmt.Errorf("%w: bad putRung record", ErrCorrupt)
-		}
-		db, ok := s.index[id]
-		if !ok {
-			return nil
-		}
-		if old, ok := db.rungs[minCount]; ok {
-			s.garbage += int64(old.ref.n)
-		}
-		db.rungs[minCount] = &rungState{
-			ref:      recordRef{seg: seq, off: ref.off + int64(d.pos), n: ref.n - d.pos},
-			patterns: patterns, items: items,
+		r := &rungState{}
+		r.patterns = int(d.uvarint())
+		r.items = int64(d.uvarint())
+		r.ref, r.ref.head = ref, d.pos
+		if db != nil && d.err == nil {
+			db.rungs[minCount] = r
 		}
 	case kindDropRungs:
-		if d.err != nil {
-			return fmt.Errorf("%w: bad dropRungs record", ErrCorrupt)
-		}
-		if db, ok := s.index[id]; ok {
-			for _, r := range db.rungs {
-				s.garbage += int64(r.ref.n)
-			}
+		if db != nil && d.err == nil {
 			db.rungs = map[int]*rungState{}
 		}
 	default:
 		return fmt.Errorf("%w: unknown record kind %d", ErrCorrupt, kind)
 	}
+	if d.err != nil {
+		return fmt.Errorf("%w: bad record of kind %d", ErrCorrupt, kind)
+	}
 	return nil
 }
 
-// stateBytes sums the payload bytes a database's records occupy on disk —
-// the garbage created when the database is replaced or deleted.
-func stateBytes(d *dbState) int64 {
-	n := int64(d.db.n)
-	for _, set := range d.sets {
-		n += int64(set.ref.n)
+// garbageLocked derives the dead bytes from the index: the record bytes of
+// the live segments minus the frames the index references. Replaced and
+// deleted records, tombstones and the records of dropped databases all
+// count. Caller holds s.mu.
+func (s *Store) garbageLocked() int64 {
+	var n int64
+	for _, size := range s.sizes {
+		n += size - int64(len(segMagic))
 	}
-	for _, r := range d.rungs {
-		n += int64(r.ref.n)
+	for _, d := range s.index {
+		n -= int64(d.db.n)
+		for _, set := range d.sets {
+			n -= int64(set.ref.n)
+		}
+		for _, r := range d.rungs {
+			n -= int64(r.ref.n)
+		}
 	}
 	return n
 }
@@ -532,185 +516,123 @@ func (s *Store) rotateLocked() error {
 	return nil
 }
 
-// appendLocked writes one record to the active segment and fsyncs it,
-// rotating first when the active segment is full.
-func (s *Store) appendLocked(payload []byte) (recordRef, error) {
+// writeLocked fills in the header of one record frame built by a record
+// function, appends the frame to the active segment, fsyncs it, and folds
+// it into the index through applyLocked, rotating first when the active
+// segment is full.
+func (s *Store) writeLocked(frame []byte) error {
 	if s.closed {
-		return recordRef{}, ErrClosed
+		return ErrClosed
 	}
 	active := s.segs[len(s.segs)-1]
 	if s.sizes[active] >= s.maxSeg {
 		if err := s.rotateLocked(); err != nil {
-			return recordRef{}, err
+			return err
 		}
 		active = s.segs[len(s.segs)-1]
 	}
 	f := s.files[active]
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
+	payload := frame[frameHeader:]
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
 	off := s.sizes[active]
-	if _, err := f.Write(hdr[:]); err != nil {
-		return recordRef{}, fmt.Errorf("store: %w", err)
-	}
-	if _, err := f.Write(payload); err != nil {
-		return recordRef{}, fmt.Errorf("store: %w", err)
+	if _, err := f.Write(frame); err != nil {
+		return fmt.Errorf("store: %w", err)
 	}
 	if err := f.Sync(); err != nil {
-		return recordRef{}, fmt.Errorf("store: %w", err)
+		return fmt.Errorf("store: %w", err)
 	}
-	s.sizes[active] = off + 8 + int64(len(payload))
-	return recordRef{seg: active, off: off + 8, n: len(payload)}, nil
+	s.sizes[active] = off + int64(len(frame))
+	return s.applyLocked(recordRef{seg: active, off: off, n: len(frame)}, payload)
 }
 
-// readPayload reads one record payload back from its segment.
-func (s *Store) readPayload(ref recordRef) ([]byte, error) {
-	s.mu.Lock()
+// frameLocked reads one record frame back from its segment and checks it
+// against its length and checksum; caller holds s.mu, so compaction cannot
+// close the segment under the read.
+func (s *Store) frameLocked(ref recordRef) ([]byte, error) {
 	f := s.files[ref.seg]
-	s.mu.Unlock()
 	if f == nil {
 		return nil, fmt.Errorf("store: segment %d is gone", ref.seg)
 	}
-	out := make([]byte, ref.n)
-	if _, err := f.ReadAt(out, ref.off); err != nil {
+	frame := make([]byte, ref.n)
+	if _, err := f.ReadAt(frame, ref.off); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	return out, nil
+	payload := frame[frameHeader:]
+	if int(binary.LittleEndian.Uint32(frame[0:4])) != len(payload) ||
+		crc32.Checksum(payload, crcTable) != binary.LittleEndian.Uint32(frame[4:8]) {
+		return nil, fmt.Errorf("%w: record at segment %d offset %d fails its checksum", ErrCorrupt, ref.seg, ref.off)
+	}
+	return frame, nil
+}
+
+// bodyLocked returns the checked body of the record at ref; caller holds
+// s.mu.
+func (s *Store) bodyLocked(ref recordRef) ([]byte, error) {
+	frame, err := s.frameLocked(ref)
+	if err != nil {
+		return nil, err
+	}
+	return frame[frameHeader+ref.head:], nil
 }
 
 // PutDB makes an uploaded database durable, resetting its saved sets and
 // rungs (upload semantics: replacing a database drops derived state). The
 // call returns only after the record is fsync'd.
 func (s *Store) PutDB(id, tenant string, db *dataset.DB) error {
-	st := db.Stats()
-	e := newEncoder(kindPutDB, id)
-	e.string(tenant)
-	e.uvarint(uint64(st.NumTx))
-	e.uvarint(uint64(st.NumItems))
-	e.float(st.AvgLen)
-	bodyAt := len(e.buf)
-	writeBasketIDs(&e.buf, db)
-
+	frame := putDBRecord(id, tenant, db)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ref, err := s.appendLocked(e.buf)
-	if err != nil {
-		return err
-	}
-	if old, ok := s.index[id]; ok {
-		s.garbage += stateBytes(old)
-	}
-	s.index[id] = &dbState{
-		tenant: tenant, numTx: st.NumTx, numItems: st.NumItems, avgLen: st.AvgLen,
-		db:   recordRef{seg: ref.seg, off: ref.off + int64(bodyAt), n: ref.n - bodyAt},
-		sets: map[string]*setState{}, rungs: map[int]*rungState{},
-	}
-	return nil
+	return s.writeLocked(frame)
 }
 
 // DeleteDB makes a database drop durable (tombstone record).
 func (s *Store) DeleteDB(id string) error {
-	e := newEncoder(kindDeleteDB, id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.index[id]; !ok {
 		return nil // nothing durable to drop
 	}
-	ref, err := s.appendLocked(e.buf)
-	if err != nil {
-		return err
-	}
-	s.garbage += stateBytes(s.index[id]) + int64(ref.n)
-	delete(s.index, id)
-	return nil
+	return s.writeLocked(deleteDBRecord(id))
 }
 
 // PutSet makes one saved pattern set durable under (db id, name).
 func (s *Store) PutSet(dbID, name string, minCount int, saved time.Time, fp []mining.Pattern) error {
-	var items int64
-	for i := range fp {
-		items += int64(len(fp[i].Items))
-	}
-	e := newEncoder(kindPutSet, dbID)
-	e.string(name)
-	e.uvarint(uint64(minCount))
-	e.uvarint(uint64(saved.UnixNano()))
-	e.uvarint(uint64(len(fp)))
-	e.uvarint(uint64(items))
-	bodyAt := len(e.buf)
-	e.patterns(fp, minCount)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	db, ok := s.index[dbID]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, dbID)
-	}
-	ref, err := s.appendLocked(e.buf)
+	frame, err := putSetRecord(dbID, name, minCount, saved, fp)
 	if err != nil {
 		return err
 	}
-	if old, ok := db.sets[name]; ok {
-		s.garbage += int64(old.ref.n)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.index[dbID]; !ok {
+		return fmt.Errorf("%w: %q", ErrNotFound, dbID)
 	}
-	db.sets[name] = &setState{
-		ref:      recordRef{seg: ref.seg, off: ref.off + int64(bodyAt), n: ref.n - bodyAt},
-		minCount: minCount, patterns: len(fp), items: items, saved: saved.UnixNano(),
-	}
-	return nil
+	return s.writeLocked(frame)
 }
 
 // PutRung makes one installed lattice rung durable under (db id, minCount).
 func (s *Store) PutRung(dbID string, minCount int, fp []mining.Pattern) error {
-	var items int64
-	for i := range fp {
-		items += int64(len(fp[i].Items))
-	}
-	e := newEncoder(kindPutRung, dbID)
-	e.uvarint(uint64(minCount))
-	e.uvarint(uint64(len(fp)))
-	e.uvarint(uint64(items))
-	bodyAt := len(e.buf)
-	e.patterns(fp, minCount)
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	db, ok := s.index[dbID]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrNotFound, dbID)
-	}
-	ref, err := s.appendLocked(e.buf)
+	frame, err := putRungRecord(dbID, minCount, fp)
 	if err != nil {
 		return err
 	}
-	if old, ok := db.rungs[minCount]; ok {
-		s.garbage += int64(old.ref.n)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.index[dbID]; !ok {
+		return fmt.Errorf("%w: %q", ErrNotFound, dbID)
 	}
-	db.rungs[minCount] = &rungState{
-		ref:      recordRef{seg: ref.seg, off: ref.off + int64(bodyAt), n: ref.n - bodyAt},
-		patterns: len(fp), items: items,
-	}
-	return nil
+	return s.writeLocked(frame)
 }
 
 // DropRungs makes a lattice invalidation durable: the database's persisted
 // ladder is cleared.
 func (s *Store) DropRungs(dbID string) error {
-	e := newEncoder(kindDropRungs, dbID)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	db, ok := s.index[dbID]
-	if !ok || len(db.rungs) == 0 {
+	if db, ok := s.index[dbID]; !ok || len(db.rungs) == 0 {
 		return nil
 	}
-	if _, err := s.appendLocked(e.buf); err != nil {
-		return err
-	}
-	for _, r := range db.rungs {
-		s.garbage += int64(r.ref.n)
-	}
-	db.rungs = map[int]*rungState{}
-	return nil
+	return s.writeLocked(dropRungsRecord(dbID))
 }
 
 // SetMeta describes one saved pattern set without loading its patterns.
@@ -767,21 +689,31 @@ type Rung struct {
 	Patterns []mining.Pattern
 }
 
-// LoadDB rehydrates a stored database.
-func (s *Store) LoadDB(id string) (*dataset.DB, error) {
+// readDB runs fn on id's index entry under s.mu. fn reads the record
+// bodies it needs there, so a concurrent compaction cannot close their
+// segments under the reads; parsing happens after the lock is released.
+func (s *Store) readDB(id string, fn func(d *dbState) error) error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	d, ok := s.index[id]
 	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
+		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	ref := d.db
-	s.mu.Unlock()
-	payload, err := s.readPayload(ref)
-	if err != nil {
+	return fn(d)
+}
+
+// LoadDB rehydrates a stored database.
+func (s *Store) LoadDB(id string) (*dataset.DB, error) {
+	var body []byte
+	if err := s.readDB(id, func(d *dbState) (err error) {
+		if body, err = s.bodyLocked(d.db); err != nil {
+			return fmt.Errorf("store: db %q: %w", id, err)
+		}
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	db, err := dataset.ReadBasketIDs(bytes.NewReader(payload))
+	db, err := dataset.ReadBasketIDs(bytes.NewReader(body))
 	if err != nil {
 		return nil, fmt.Errorf("store: db %q: %w", id, err)
 	}
@@ -790,32 +722,30 @@ func (s *Store) LoadDB(id string) (*dataset.DB, error) {
 
 // LoadSets rehydrates every saved pattern set of a database.
 func (s *Store) LoadSets(id string) ([]Set, error) {
-	s.mu.Lock()
-	d, ok := s.index[id]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	type pending struct {
-		name     string
-		minCount int
-		saved    int64
-		ref      recordRef
-	}
-	refs := make([]pending, 0, len(d.sets))
-	for name, set := range d.sets {
-		refs = append(refs, pending{name, set.minCount, set.saved, set.ref})
-	}
-	s.mu.Unlock()
-	sort.Slice(refs, func(i, j int) bool { return refs[i].name < refs[j].name })
-	out := make([]Set, 0, len(refs))
-	for _, p := range refs {
-		fp, err := s.loadPatterns(p.ref)
-		if err != nil {
-			return nil, fmt.Errorf("store: set %q/%q: %w", id, p.name, err)
+	var out []Set
+	var bodies [][]byte
+	err := s.readDB(id, func(d *dbState) error {
+		out = make([]Set, 0, len(d.sets))
+		for name, set := range d.sets {
+			out = append(out, Set{Name: name, MinCount: set.minCount, Saved: time.Unix(0, set.saved)})
 		}
-		out = append(out, Set{Name: p.name, MinCount: p.minCount,
-			Saved: time.Unix(0, p.saved), Patterns: fp})
+		sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+		for _, set := range out {
+			body, err := s.bodyLocked(d.sets[set.Name].ref)
+			if err != nil {
+				return fmt.Errorf("store: set %q/%q: %w", id, set.Name, err)
+			}
+			bodies = append(bodies, body)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		if out[i].Patterns, err = parsePatterns(bodies[i]); err != nil {
+			return nil, fmt.Errorf("store: set %q/%q: %w", id, out[i].Name, err)
+		}
 	}
 	return out, nil
 }
@@ -823,62 +753,63 @@ func (s *Store) LoadSets(id string) ([]Set, error) {
 // LoadRungs rehydrates a database's persisted lattice ladder, ascending by
 // threshold.
 func (s *Store) LoadRungs(id string) ([]Rung, error) {
-	s.mu.Lock()
-	d, ok := s.index[id]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	type pending struct {
-		minCount int
-		ref      recordRef
-	}
-	refs := make([]pending, 0, len(d.rungs))
-	for minCount, r := range d.rungs {
-		refs = append(refs, pending{minCount, r.ref})
-	}
-	s.mu.Unlock()
-	sort.Slice(refs, func(i, j int) bool { return refs[i].minCount < refs[j].minCount })
-	out := make([]Rung, 0, len(refs))
-	for _, p := range refs {
-		fp, err := s.loadPatterns(p.ref)
-		if err != nil {
-			return nil, fmt.Errorf("store: rung %q@%d: %w", id, p.minCount, err)
+	var out []Rung
+	var bodies [][]byte
+	err := s.readDB(id, func(d *dbState) error {
+		out = make([]Rung, 0, len(d.rungs))
+		for minCount := range d.rungs {
+			out = append(out, Rung{MinCount: minCount})
 		}
-		out = append(out, Rung{MinCount: p.minCount, Patterns: fp})
+		sort.Slice(out, func(i, j int) bool { return out[i].MinCount < out[j].MinCount })
+		for _, r := range out {
+			body, err := s.bodyLocked(d.rungs[r.MinCount].ref)
+			if err != nil {
+				return fmt.Errorf("store: rung %q@%d: %w", id, r.MinCount, err)
+			}
+			bodies = append(bodies, body)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := range out {
+		if out[i].Patterns, err = parsePatterns(bodies[i]); err != nil {
+			return nil, fmt.Errorf("store: rung %q@%d: %w", id, out[i].MinCount, err)
+		}
 	}
 	return out, nil
 }
 
-// loadPatterns reads and parses one pattern-set payload body.
-func (s *Store) loadPatterns(ref recordRef) ([]mining.Pattern, error) {
-	payload, err := s.readPayload(ref)
-	if err != nil {
-		return nil, err
-	}
-	set, err := patternio.Read(bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	return set.Patterns, nil
+// parsePatterns parses one pattern-record body.
+func parsePatterns(body []byte) ([]mining.Pattern, error) {
+	set, err := patternio.Read(bytes.NewReader(body))
+	return set.Patterns, err
 }
 
-// Compact rewrites the live records into a fresh segment and drops the old
-// ones — the snapshot step of the snapshot/compaction ticker. The manifest
-// swap is atomic; a crash at any point leaves either the old or the new
-// segment list fully live.
+// Compact copies the live record frames into a fresh segment and drops the
+// old ones — the snapshot step of the snapshot/compaction ticker. Frames are
+// copied byte for byte after their checksum is checked against the copied
+// bytes, so a corrupted record fails the compaction with ErrCorrupt and the
+// old segments stay live. The manifest swap is atomic; a crash at any point
+// leaves either the old or the new segment list fully live.
 func (s *Store) Compact() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	old := append([]int64{}, s.segs...)
-	next := old[len(old)-1] + 1
+	if err := s.compactLocked(); err != nil {
+		s.failed++
+		return err
+	}
+	s.compacted++
+	return nil
+}
 
-	// Stream the live records into the compacted segment. Payload bytes are
-	// copied verbatim (they are position-independent), so compaction never
-	// re-encodes.
+func (s *Store) compactLocked() error {
+	old := s.segs
+	next := old[len(old)-1] + 1
 	f, err := os.OpenFile(s.segPath(next), os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
@@ -891,91 +822,47 @@ func (s *Store) Compact() error {
 	if _, err := f.WriteString(segMagic); err != nil {
 		return abort(fmt.Errorf("store: %w", err))
 	}
+	// Each live ref moves to its frame's offset in the compacted segment
+	// once the manifest swap commits. A database's PutDB frame precedes its
+	// sets and rungs, so replaying the copy rebuilds the same index.
+	type move struct {
+		ref *recordRef
+		off int64
+	}
+	var moves []move
+	off := int64(len(segMagic))
+	copyFrame := func(ref *recordRef) error {
+		frame, err := s.frameLocked(*ref)
+		if err != nil {
+			return err
+		}
+		if _, err := f.Write(frame); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+		moves = append(moves, move{ref, off})
+		off += int64(len(frame))
+		return nil
+	}
 	ids := make([]string, 0, len(s.index))
 	for id := range s.index {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	off := int64(len(segMagic))
-	newIndex := make(map[string]*dbState, len(s.index))
-	copyRecord := func(ref recordRef, rebuild func(body []byte) []byte) (recordRef, error) {
-		body := make([]byte, ref.n)
-		if _, err := s.files[ref.seg].ReadAt(body, ref.off); err != nil {
-			return recordRef{}, fmt.Errorf("store: compact read: %w", err)
-		}
-		payload := rebuild(body)
-		var hdr [8]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-		if _, err := f.Write(hdr[:]); err != nil {
-			return recordRef{}, fmt.Errorf("store: %w", err)
-		}
-		if _, err := f.Write(payload); err != nil {
-			return recordRef{}, fmt.Errorf("store: %w", err)
-		}
-		ref = recordRef{seg: next, off: off + 8, n: len(payload)}
-		off += 8 + int64(len(payload))
-		return ref, nil
-	}
 	for _, id := range ids {
 		d := s.index[id]
-		nd := &dbState{tenant: d.tenant, numTx: d.numTx, numItems: d.numItems,
-			avgLen: d.avgLen, sets: map[string]*setState{}, rungs: map[int]*rungState{}}
-		// The stored ref points at the payload *body*; re-encoding the header
-		// around it reproduces the full record.
-		headBytes := 0
-		ref, err := copyRecord(d.db, func(body []byte) []byte {
-			e := newEncoder(kindPutDB, id)
-			e.string(d.tenant)
-			e.uvarint(uint64(d.numTx))
-			e.uvarint(uint64(d.numItems))
-			e.float(d.avgLen)
-			headBytes = len(e.buf)
-			return append(e.buf, body...)
-		})
-		if err != nil {
+		if err := copyFrame(&d.db); err != nil {
 			return abort(err)
 		}
-		nd.db = recordRef{seg: ref.seg, off: ref.off + int64(headBytes), n: ref.n - headBytes}
-		for name, set := range d.sets {
-			set := set
-			ref, err := copyRecord(set.ref, func(body []byte) []byte {
-				e := newEncoder(kindPutSet, id)
-				e.string(name)
-				e.uvarint(uint64(set.minCount))
-				e.uvarint(uint64(set.saved))
-				e.uvarint(uint64(set.patterns))
-				e.uvarint(uint64(set.items))
-				headBytes = len(e.buf)
-				return append(e.buf, body...)
-			})
-			if err != nil {
+		for _, set := range d.sets {
+			if err := copyFrame(&set.ref); err != nil {
 				return abort(err)
 			}
-			nd.sets[name] = &setState{
-				ref:      recordRef{seg: ref.seg, off: ref.off + int64(headBytes), n: ref.n - headBytes},
-				minCount: set.minCount, patterns: set.patterns, items: set.items, saved: set.saved,
-			}
 		}
-		for minCount, r := range d.rungs {
-			r := r
-			ref, err := copyRecord(r.ref, func(body []byte) []byte {
-				e := newEncoder(kindPutRung, id)
-				e.uvarint(uint64(minCount))
-				e.uvarint(uint64(r.patterns))
-				e.uvarint(uint64(r.items))
-				headBytes = len(e.buf)
-				return append(e.buf, body...)
-			})
-			if err != nil {
+		for _, r := range d.rungs {
+			if err := copyFrame(&r.ref); err != nil {
 				return abort(err)
 			}
-			nd.rungs[minCount] = &rungState{
-				ref:      recordRef{seg: ref.seg, off: ref.off + int64(headBytes), n: ref.n - headBytes},
-				patterns: r.patterns, items: r.items,
-			}
 		}
-		newIndex[id] = nd
 	}
 	if err := f.Sync(); err != nil {
 		return abort(fmt.Errorf("store: %w", err))
@@ -1010,12 +897,12 @@ func (s *Store) Compact() error {
 		delete(s.sizes, seq)
 		os.Remove(s.segPath(seq))
 	}
+	for _, m := range moves {
+		m.ref.seg, m.ref.off = next, m.off
+	}
 	s.segs = []int64{next, activeSeq}
 	s.files[next], s.sizes[next] = f, off
 	s.files[activeSeq], s.sizes[activeSeq] = af, int64(len(segMagic))
-	s.index = newIndex
-	s.garbage = 0
-	s.compacted++
 	return nil
 }
 
@@ -1045,10 +932,10 @@ func (s *Store) StartSnapshots(interval time.Duration) {
 				return
 			case <-t.C:
 				s.mu.Lock()
-				dirty := s.garbage > 0
+				dirty := s.garbageLocked() > 0
 				s.mu.Unlock()
 				if dirty {
-					s.Compact() // best-effort; next tick retries
+					s.Compact() // failures are counted in Stats; next tick retries
 				}
 			}
 		}
@@ -1062,6 +949,9 @@ type Stats struct {
 	Databases   int   `json:"databases"`
 	Garbage     int64 `json:"garbage_bytes"`
 	Compactions int64 `json:"compactions"`
+	// CompactFailures counts compactions that failed, e.g. on a corrupt
+	// record; the old segments stay live and garbage keeps growing.
+	CompactFailures int64 `json:"compact_failures"`
 }
 
 // Stats returns current occupancy.
@@ -1069,7 +959,7 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := Stats{Segments: len(s.segs), Databases: len(s.index),
-		Garbage: s.garbage, Compactions: s.compacted}
+		Garbage: s.garbageLocked(), Compactions: s.compacted, CompactFailures: s.failed}
 	for _, n := range s.sizes {
 		st.DiskBytes += n
 	}
@@ -1102,20 +992,5 @@ func (s *Store) closeFiles() {
 	for seq, f := range s.files {
 		f.Close()
 		delete(s.files, seq)
-	}
-}
-
-// writeBasketIDs serializes a database in numeric-id basket format (one
-// transaction per line), ignoring any dictionary so the round trip through
-// ReadBasketIDs is exact.
-func writeBasketIDs(buf *[]byte, db *dataset.DB) {
-	for _, t := range db.All() {
-		for j, it := range t {
-			if j > 0 {
-				*buf = append(*buf, ' ')
-			}
-			*buf = strconv.AppendInt(*buf, int64(it), 10)
-		}
-		*buf = append(*buf, '\n')
 	}
 }

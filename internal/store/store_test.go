@@ -499,20 +499,130 @@ func TestSnapshotTicker(t *testing.T) {
 }
 
 func TestPatternBodyBytesMatchPatternio(t *testing.T) {
-	// The persisted body must be byte-identical to patternio.Write's output
-	// so exports and segments share one canonical form.
-	e := newEncoder(kindPutSet, "x")
-	at := len(e.buf)
-	e.patterns(testPatterns(), 2)
-	var want bytes.Buffer
-	if err := writePatternioRef(&want, testPatterns(), 2); err != nil {
+	// The body PutSet writes must be byte-identical to patternio.Write's
+	// output so exports and segments share one canonical form.
+	s := mustOpen(t, t.TempDir(), Options{})
+	defer s.Close()
+	if err := s.PutDB("x", "t", testDB()); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(e.buf[at:], want.Bytes()) {
-		t.Fatalf("body:\n%q\nwant:\n%q", e.buf[at:], want.Bytes())
+	if err := s.PutSet("x", "hot", 2, time.Unix(1, 0), testPatterns()); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	body, err := s.bodyLocked(s.index["x"].sets["hot"].ref)
+	s.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := patternio.Write(&want, patternio.Set{Patterns: testPatterns(), MinSupport: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("body:\n%q\nwant:\n%q", body, want.Bytes())
 	}
 }
 
-func writePatternioRef(w *bytes.Buffer, fp []mining.Pattern, minCount int) error {
-	return patternio.Write(w, patternio.Set{Patterns: fp, MinSupport: minCount})
+// TestCorruptRecordRefused flips one support digit of a saved set's body
+// while the store is open: the load must refuse the record rather than serve
+// {3}:5, and compaction must fail without writing a fresh checksum over the
+// flipped bytes, leaving the MANIFEST and the old segments as they were.
+func TestCorruptRecordRefused(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, Options{})
+	defer s.Close()
+	if err := s.PutDB("d1", "alice", testDB()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutSet("d1", "hot", 2, time.Unix(1, 0), testPatterns()); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "seg-00000001.log")
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, []byte("\n3:4\n"))
+	if at < 0 {
+		t.Fatalf("pattern {3}:4 not found in %q", data)
+	}
+	f, err := os.OpenFile(seg, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt([]byte("5"), int64(at+3)); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	if sets, err := s.LoadSets("d1"); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("LoadSets = %+v, %v; want ErrCorrupt", sets, err)
+	}
+	before := snapshotDir(t, dir)
+	if err := s.Compact(); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("Compact = %v; want ErrCorrupt", err)
+	}
+	if after := snapshotDir(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("failed Compact changed the directory: %d files before, %d after", len(before), len(after))
+	}
+}
+
+// snapshotDir maps every file name in dir to its contents.
+func snapshotDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(data)
+	}
+	return out
+}
+
+// TestLoadDuringCompact loads a database's sets while compactions swap the
+// segments under the loads: every load must succeed.
+func TestLoadDuringCompact(t *testing.T) {
+	s := mustOpen(t, t.TempDir(), Options{})
+	defer s.Close()
+	if err := s.PutDB("d1", "alice", testDB()); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 300; i++ {
+			if err := s.PutSet("d1", "hot", 2, time.Unix(int64(i), 0), testPatterns()); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := s.Compact(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	fails := 0
+	for loads := 0; ; loads++ {
+		select {
+		case <-done:
+			if fails > 0 {
+				t.Errorf("%d of %d loads failed under compaction", fails, loads)
+			}
+			return
+		default:
+		}
+		if _, err := s.LoadSets("d1"); err != nil {
+			if fails == 0 {
+				t.Logf("first failure: %v", err)
+			}
+			fails++
+		}
+	}
 }
