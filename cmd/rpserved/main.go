@@ -38,8 +38,10 @@
 //	gendata -dataset weather -scale 0.01 -out w.basket
 //	curl -X PUT  --data-binary @w.basket localhost:8080/db/weather
 //	curl -X POST -d '{"min_support":0.05,"save_as":"coarse"}' localhost:8080/db/weather/mine
-//	curl -X POST -d '{"min_support":0.01}' localhost:8080/db/weather/mine
-//	                      ^ recycled from "coarse" automatically
+//	curl -X POST -d '{"min_support":0.1}' localhost:8080/db/weather/mine
+//	                      ^ filtered from the 0.05 rung, no mining
+//	curl -X POST -d '{"min_support":0.01,"use":"coarse"}' localhost:8080/db/weather/mine
+//	                      ^ recycled from "coarse" on request
 //
 // Long-running mines go through the async job queue:
 //
@@ -58,7 +60,7 @@
 //
 // Mining responses flow through the materialized threshold lattice (budget
 // with -cache-budget-mb): repeated or tightened thresholds are answered by
-// pure filtering, relaxed ones seed recycling from the nearest rung.
+// pure filtering; missed and relaxed ones are mined fresh with FP-growth.
 // Inspect or drop a database's ladder with GET/DELETE /db/{id}/lattice.
 //
 // GET /metrics reports mine counts, latencies, the fresh/filtered/recycled
@@ -92,7 +94,7 @@ func main() {
 		maxBody       = flag.Int64("max-upload-mb", 64, "maximum upload size in MiB")
 		mineTimeout   = flag.Duration("mine-timeout", 0, "per-request mining deadline (0 = none)")
 		workers       = flag.Int("workers", 0, "async mining workers (0 = NumCPU)")
-		mineWorkers   = flag.Int("mine-workers", 0, "worker pool per mining run (0 = serial, -1 = GOMAXPROCS)")
+		mineWorkers   = flag.Int("mine-workers", 0, "worker pool per recycling run, i.e. use=<saved set> requests (0 = serial, -1 = GOMAXPROCS)")
 		queue         = flag.Int("queue", 64, "async job queue depth")
 		maxDBs        = flag.Int("tenant-max-dbs", 0, "per-tenant resident database quota (0 = unlimited)")
 		maxJobs       = flag.Int("tenant-max-jobs", 0, "per-tenant queued async job quota (0 = unlimited)")

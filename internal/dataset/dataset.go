@@ -6,7 +6,7 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Item is a dictionary-encoded item identifier. Ids are dense and start at 0.
@@ -57,18 +57,16 @@ func withDict(tx [][]Item, d *Dict) *DB { return &DB{tx: tx, dict: d} }
 
 // Canonical returns a sorted, de-duplicated copy of t.
 func Canonical(t []Item) []Item {
-	c := make([]Item, len(t))
-	copy(c, t)
-	sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-	// De-duplicate in place.
-	w := 0
-	for i, v := range c {
-		if i == 0 || v != c[w-1] {
-			c[w] = v
-			w++
-		}
+	return canonicalize(append(make([]Item, 0, len(t)), t...))
+}
+
+// canonicalize sorts t ascending and de-duplicates it in place, returning
+// the canonical prefix.
+func canonicalize(t []Item) []Item {
+	if !slices.IsSorted(t) {
+		slices.Sort(t)
 	}
-	return c[:w]
+	return slices.Compact(t)
 }
 
 // Len returns the number of transactions.
@@ -83,15 +81,37 @@ func (db *DB) All() [][]Item { return db.tx }
 // Dict returns the item dictionary, or nil when items are anonymous ids.
 func (db *DB) Dict() *Dict { return db.dict }
 
-// NumItems returns the number of distinct items appearing in the database.
+// NumItems returns the number of distinct items appearing in the database,
+// counted in a bitset indexed by item id. Negative ids, or ids so sparse
+// that the bitset would outweigh the items it indexes, are counted in a map.
 func (db *DB) NumItems() int {
-	seen := map[Item]struct{}{}
+	cells, lo, hi := 0, Item(0), Item(-1)
 	for _, t := range db.tx {
-		for _, it := range t {
-			seen[it] = struct{}{}
+		if n := len(t); n > 0 {
+			cells += n
+			lo, hi = min(lo, t[0]), max(hi, t[n-1])
 		}
 	}
-	return len(seen)
+	if lo < 0 || int(hi) >= 64*(cells+1) {
+		seen := map[Item]struct{}{}
+		for _, t := range db.tx {
+			for _, it := range t {
+				seen[it] = struct{}{}
+			}
+		}
+		return len(seen)
+	}
+	seen := make([]uint64, int(hi)/64+1)
+	distinct := 0
+	for _, t := range db.tx {
+		for _, it := range t {
+			if w, bit := it/64, uint64(1)<<(it%64); seen[w]&bit == 0 {
+				seen[w] |= bit
+				distinct++
+			}
+		}
+	}
+	return distinct
 }
 
 // MaxItem returns the largest item id present, or -1 for an empty database.
@@ -114,20 +134,13 @@ type Stats struct {
 	Cells    int     // total item occurrences (size proxy used for ratios)
 }
 
-// Stats computes summary statistics in one pass.
+// Stats computes summary statistics.
 func (db *DB) Stats() Stats {
-	s := Stats{NumTx: len(db.tx)}
-	seen := map[Item]struct{}{}
+	s := Stats{NumTx: len(db.tx), NumItems: db.NumItems()}
 	for _, t := range db.tx {
 		s.Cells += len(t)
-		if len(t) > s.MaxLen {
-			s.MaxLen = len(t)
-		}
-		for _, it := range t {
-			seen[it] = struct{}{}
-		}
+		s.MaxLen = max(s.MaxLen, len(t))
 	}
-	s.NumItems = len(seen)
 	if s.NumTx > 0 {
 		s.AvgLen = float64(s.Cells) / float64(s.NumTx)
 	}

@@ -148,6 +148,21 @@ func TestStatsAndAccessors(t *testing.T) {
 	if empty.MaxItem() != -1 || empty.Len() != 0 || empty.Stats().AvgLen != 0 {
 		t.Error("empty db accessors")
 	}
+
+	// Distinct items are counted in a bitset indexed by id, except for ids
+	// too sparse for one (a bitset of 2^31 bits for two items) or negative.
+	for _, c := range []struct {
+		tx   [][]dataset.Item
+		want int
+	}{
+		{[][]dataset.Item{{64, 0, 63}, {64, 127, 128}}, 5},
+		{[][]dataset.Item{{1, 2147483647}, {1}}, 2},
+		{[][]dataset.Item{{-3, 2}, {-3}}, 2},
+	} {
+		if got := dataset.New(c.tx).NumItems(); got != c.want {
+			t.Errorf("NumItems(%v) = %d, want %d", c.tx, got, c.want)
+		}
+	}
 }
 
 func TestDict(t *testing.T) {

@@ -15,24 +15,29 @@ import (
 // itemset mining repository, which hosts the paper's Connect-4 and Pumsb
 // datasets.
 
+// maxLine bounds one basket line; longer lines fail with bufio.ErrTooLong.
+const maxLine = 1 << 22
+
 // ReadBasket reads named-token basket data, interning tokens in a fresh Dict.
 func ReadBasket(r io.Reader) (*DB, error) {
 	d := NewDict()
-	var tx [][]Item
+	var (
+		tx   [][]Item
+		toks [][]byte
+	)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	sc.Buffer(nil, maxLine)
 	line := 0
 	for sc.Scan() {
 		line++
-		row, skip := splitFields(sc.Text())
-		if skip {
+		if toks = fields(toks[:0], sc.Bytes()); len(toks) == 0 {
 			continue
 		}
-		t := make([]Item, 0, len(row))
-		for _, tok := range row {
-			t = append(t, d.Intern(tok))
+		t := make([]Item, 0, len(toks))
+		for _, tok := range toks {
+			t = append(t, d.Intern(string(tok)))
 		}
-		tx = append(tx, Canonical(t))
+		tx = append(tx, canonicalize(t))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("basket read: line %d: %w", line, err)
@@ -41,32 +46,61 @@ func ReadBasket(r io.Reader) (*DB, error) {
 }
 
 // ReadBasketIDs reads basket data whose tokens are decimal item ids. No
-// dictionary is attached. A malformed token is an error.
+// dictionary is attached. A malformed token is an error. It parses in one
+// pass with no per-line allocation: each row is canonicalized in place in
+// one growing item buffer, and the rows are finally cut from one exact-size
+// copy of it.
 func ReadBasketIDs(r io.Reader) (*DB, error) {
-	var tx [][]Item
+	var (
+		flat []Item // every row's items, each row canonical
+		ends []int  // ends[i] is the end of row i in flat
+		toks [][]byte
+	)
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
+	sc.Buffer(nil, maxLine)
 	line := 0
 	for sc.Scan() {
 		line++
-		row, skip := splitFields(sc.Text())
-		if skip {
+		if toks = fields(toks[:0], sc.Bytes()); len(toks) == 0 {
 			continue
 		}
-		t := make([]Item, 0, len(row))
-		for _, tok := range row {
-			v, err := strconv.ParseInt(tok, 10, 32)
-			if err != nil || v < 0 {
+		start := len(flat)
+		for _, tok := range toks {
+			v, ok := parseID(tok)
+			if !ok {
 				return nil, fmt.Errorf("basket read: line %d: bad item id %q", line, tok)
 			}
-			t = append(t, Item(v))
+			flat = append(flat, v)
 		}
-		tx = append(tx, Canonical(t))
+		flat = flat[:start+len(canonicalize(flat[start:]))]
+		ends = append(ends, len(flat))
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("basket read: line %d: %w", line, err)
 	}
-	return New(tx), nil
+	items := append(make([]Item, 0, len(flat)), flat...)
+	tx := make([][]Item, len(ends))
+	start := 0
+	for i, end := range ends {
+		tx[i] = items[start:end:end]
+		start = end
+	}
+	return withDict(tx, nil), nil
+}
+
+// parseID parses a decimal item id: up to nine plain digits directly,
+// anything else (signs, longer numbers, junk) through strconv.ParseInt, so
+// every token is accepted or refused exactly as ParseInt decides.
+func parseID(tok []byte) (Item, bool) {
+	v := 0
+	for i, c := range tok {
+		if c < '0' || c > '9' || i == 9 {
+			n, err := strconv.ParseInt(string(tok), 10, 32)
+			return Item(n), err == nil && n >= 0
+		}
+		v = v*10 + int(c-'0')
+	}
+	return Item(v), true
 }
 
 // ReadBasketFile reads a named-token basket file.
@@ -138,27 +172,25 @@ func WriteBasketFile(path string, db *DB) error {
 	return f.Close()
 }
 
-// splitFields splits a basket line into tokens, reporting skip for blank and
-// comment lines.
-func splitFields(s string) (fields []string, skip bool) {
+// fields appends the tokens of a basket line (separated by spaces, tabs and
+// carriage returns) to dst, returning none for blank and comment lines. The
+// tokens alias line.
+func fields(dst [][]byte, line []byte) [][]byte {
 	start := -1
-	for i := 0; i <= len(s); i++ {
-		if i < len(s) && s[i] != ' ' && s[i] != '\t' && s[i] != '\r' {
+	for i := 0; i <= len(line); i++ {
+		if i < len(line) && line[i] != ' ' && line[i] != '\t' && line[i] != '\r' {
 			if start < 0 {
 				start = i
 			}
 			continue
 		}
 		if start >= 0 {
-			fields = append(fields, s[start:i])
+			dst = append(dst, line[start:i])
 			start = -1
 		}
 	}
-	if len(fields) == 0 {
-		return nil, true
+	if len(dst) > 0 && dst[0][0] == '#' {
+		return dst[:0]
 	}
-	if fields[0][0] == '#' {
-		return nil, true
-	}
-	return fields, false
+	return dst
 }

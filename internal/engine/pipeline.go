@@ -124,12 +124,17 @@ type Prior struct {
 }
 
 // Pipeline owns a mining run end to end. The zero value is usable: fresh
-// H-Mine, the Recycle-HM engine, MCP compression, serial mining,
-// GOMAXPROCS compression workers, no observer.
+// FP-growth, MCP compression, serial mining, GOMAXPROCS compression workers,
+// no observer. With Recycled left empty, execute and Serve mine a relaxed
+// round fresh rather than recycle it (on the serving workloads' data,
+// recycling seldom paid for its compression against fresh FP-growth, and
+// nothing known before the run tells when it does); only an explicit
+// MineRecycling or Recycler call recycles, with Recycle-FP.
 type Pipeline struct {
-	// Fresh names the baseline algorithm for fresh runs ("" = "hmine").
+	// Fresh names the baseline algorithm for fresh runs ("" = "fptree").
 	Fresh string
-	// Recycled names the compressed-database engine ("" = "rp-hmine").
+	// Recycled names the compressed-database engine. Empty means relaxed
+	// rounds mine fresh, and MineRecycling and Recycler use "rp-fptree".
 	Recycled string
 	// Strategy picks the compression utility function (default MCP).
 	Strategy core.Strategy
@@ -154,44 +159,17 @@ type Pipeline struct {
 	Cache *lattice.Cache
 }
 
-// resolveFresh returns the descriptor a fresh run will use, after worker
-// promotion.
-func (p *Pipeline) resolveFresh() (Descriptor, error) {
-	name := p.Fresh
+// resolve returns the descriptor of the named algorithm of kind (def when
+// name is empty), after worker promotion.
+func (p *Pipeline) resolve(name, def string, kind Kind) (Descriptor, error) {
 	if name == "" {
-		name = "hmine"
+		name = def
 	}
-	d, ok := Lookup(name)
-	if !ok {
-		return Descriptor{}, fmt.Errorf("engine: unknown algorithm %q", name)
-	}
-	if d.Kind != Fresh {
-		return Descriptor{}, fmt.Errorf("engine: %q is a recycling engine, not a baseline miner", name)
-	}
-	if p.MineWorkers != 0 && d.Par != "" {
+	d, err := lookupKind(name, kind)
+	if err == nil && p.MineWorkers != 0 && d.Par != "" {
 		d, _ = Lookup(d.Par)
 	}
-	return d, nil
-}
-
-// resolveRecycled returns the descriptor a recycled run will use, after
-// worker promotion.
-func (p *Pipeline) resolveRecycled() (Descriptor, error) {
-	name := p.Recycled
-	if name == "" {
-		name = "rp-hmine"
-	}
-	d, ok := Lookup(name)
-	if !ok {
-		return Descriptor{}, fmt.Errorf("engine: unknown recycling engine %q", name)
-	}
-	if d.Kind != Recycled {
-		return Descriptor{}, fmt.Errorf("engine: %q is a baseline miner, not a recycling engine", name)
-	}
-	if p.MineWorkers != 0 && d.Par != "" {
-		d, _ = Lookup(d.Par)
-	}
-	return d, nil
+	return d, err
 }
 
 // FreshMiner constructs the miner a fresh run will use and returns it with
@@ -199,7 +177,7 @@ func (p *Pipeline) resolveRecycled() (Descriptor, error) {
 // set and a registered par-* variant, the returned miner is the pool-backed
 // form and the name is the variant's.
 func (p *Pipeline) FreshMiner() (mining.Miner, string, error) {
-	d, err := p.resolveFresh()
+	d, err := p.resolve(p.Fresh, "fptree", Fresh)
 	if err != nil {
 		return nil, "", err
 	}
@@ -211,7 +189,7 @@ func (p *Pipeline) FreshMiner() (mining.Miner, string, error) {
 // interface (via core.Recycler), for callers that compose with constraint
 // pushing. The returned name is the engine's canonical registry name.
 func (p *Pipeline) Recycler(fp []mining.Pattern) (mining.Miner, string, error) {
-	d, err := p.resolveRecycled()
+	d, err := p.resolve(p.Recycled, "rp-fptree", Recycled)
 	if err != nil {
 		return nil, "", err
 	}
@@ -249,7 +227,7 @@ func (p *Pipeline) Mine(ctx context.Context, db *dataset.DB, minCount int, sink 
 	if minCount < 1 {
 		return Run{}, mining.ErrBadMinSupport
 	}
-	d, err := p.resolveFresh()
+	d, err := p.resolve(p.Fresh, "fptree", Fresh)
 	if err != nil {
 		return Run{}, err
 	}
@@ -280,7 +258,7 @@ func (p *Pipeline) MineRecycling(ctx context.Context, db *dataset.DB, fp []minin
 	if minCount < 1 {
 		return Run{}, mining.ErrBadMinSupport
 	}
-	d, err := p.resolveRecycled()
+	d, err := p.resolve(p.Recycled, "rp-fptree", Recycled)
 	if err != nil {
 		return Run{}, err
 	}
@@ -325,15 +303,13 @@ func (p *Pipeline) Filter(fp []mining.Pattern, minCount int) Run {
 }
 
 // execute implements the paper's decision tree for one round given the
-// prior round's knowledge: no prior → mine fresh; threshold tightened
-// (prior.MinCount <= minCount) → filter the old result; relaxed → recycle.
-// Run.BasedOn carries prior.Label on the reuse paths. With a Cache attached
-// and no sink, the round's complete result is installed as a rung.
+// prior round's knowledge: threshold tightened (prior.MinCount <= minCount)
+// → filter the old result; relaxed → recycle with the named Recycled engine;
+// no prior, or no engine named → mine fresh. Run.BasedOn carries
+// prior.Label on the reuse paths. With a Cache attached and no sink, the
+// round's complete result is installed as a rung.
 func (p *Pipeline) execute(ctx context.Context, db *dataset.DB, prior *Prior, minCount int, sink mining.Sink) (Run, error) {
-	if prior == nil {
-		return p.Mine(ctx, db, minCount, sink)
-	}
-	if prior.MinCount >= 1 && prior.MinCount <= minCount {
+	if prior != nil && prior.MinCount >= 1 && prior.MinCount <= minCount {
 		run := p.Filter(prior.Patterns, minCount)
 		run.BasedOn = prior.Label
 		if sink == nil {
@@ -341,6 +317,9 @@ func (p *Pipeline) execute(ctx context.Context, db *dataset.DB, prior *Prior, mi
 		}
 		emitFiltered(&run, sink)
 		return run, nil
+	}
+	if prior == nil || p.Recycled == "" {
+		return p.Mine(ctx, db, minCount, sink)
 	}
 	run, err := p.MineRecycling(ctx, db, prior.Patterns, minCount, sink)
 	if err != nil {
@@ -390,7 +369,8 @@ func emitFiltered(run *Run, sink mining.Sink) {
 //   - hit: a rung at ≤ minCount is pure-filtered down — no mining, and
 //     nothing new to install.
 //   - relax: the nearest rung above minCount seeds the recycling pipeline
-//     (unless the caller's prior is a strictly better seed).
+//     (unless the caller's prior is a strictly better seed); with Recycled
+//     empty the round is mined fresh, still reported as a relax.
 //   - miss: the empty ladder falls back to the prior-driven execute
 //     decision tree.
 //

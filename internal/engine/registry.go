@@ -181,16 +181,26 @@ func Lookup(name string) (Descriptor, bool) {
 	return *d, true
 }
 
+// lookupKind returns the descriptor registered under name, erroring when the
+// name is unknown or registers an algorithm of the other kind.
+func lookupKind(name string, kind Kind) (Descriptor, error) {
+	d, ok := Lookup(name)
+	if !ok {
+		return Descriptor{}, fmt.Errorf("engine: unknown %s algorithm %q", kind, name)
+	}
+	if d.Kind != kind {
+		return Descriptor{}, fmt.Errorf("engine: %q is a %s algorithm, not a %s one", name, d.Kind, kind)
+	}
+	return d, nil
+}
+
 // NewMiner constructs the named fresh miner with the given pool worker
 // count (ignored by serial algorithms). It errors for unknown or
 // recycled-only names.
 func NewMiner(name string, workers int) (mining.Miner, error) {
-	d, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown algorithm %q", name)
-	}
-	if d.Kind != Fresh {
-		return nil, fmt.Errorf("engine: %q is a recycling engine, not a baseline miner", name)
+	d, err := lookupKind(name, Fresh)
+	if err != nil {
+		return nil, err
 	}
 	return d.Miner(workers), nil
 }
@@ -199,12 +209,9 @@ func NewMiner(name string, workers int) (mining.Miner, error) {
 // worker count (ignored by serial engines). It errors for unknown or
 // fresh-only names.
 func NewEngine(name string, workers int) (core.CDBMiner, error) {
-	d, ok := Lookup(name)
-	if !ok {
-		return nil, fmt.Errorf("engine: unknown recycling engine %q", name)
-	}
-	if d.Kind != Recycled {
-		return nil, fmt.Errorf("engine: %q is a baseline miner, not a recycling engine", name)
+	d, err := lookupKind(name, Recycled)
+	if err != nil {
+		return nil, err
 	}
 	return d.Engine(workers), nil
 }

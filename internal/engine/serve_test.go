@@ -189,3 +189,43 @@ func TestMineInstallsOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestRelaxPlan pins the serving plan along a downward ξ walk: the zero
+// Pipeline mines every relaxed round fresh with FP-growth (still reported as
+// a lattice relax), while naming a recycled engine keeps recycling the rung
+// above. Every step matches Apriori.
+func TestRelaxPlan(t *testing.T) {
+	db := testutil.RandomDB(rand.New(rand.NewSource(20040403)), 120, 12, 7)
+	for _, tc := range []struct {
+		recycled, source, algo string
+	}{
+		{"", string(mining.SourceFresh), "fptree"},
+		{"rp-fptree", string(mining.SourceRecycled), "rp-fptree"},
+	} {
+		events := cacheEvents{}
+		p := engine.Pipeline{Recycled: tc.recycled, Observer: events,
+			Cache: lattice.NewStore(1 << 20).Cache(db)}
+		for i, min := range []int{60, 40, 25, 12, 6} {
+			run, err := p.Serve(context.Background(), db, nil, min, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := testutil.Oracle(t, db, min); !toSet(t, run.Patterns).Equal(want) {
+				t.Fatalf("Recycled=%q min=%d:\n%v", tc.recycled, min, toSet(t, run.Patterns).Diff(want, 10))
+			}
+			if i == 0 {
+				if run.Cache != "miss" || run.Algo != "fptree" {
+					t.Fatalf("Recycled=%q first round: cache %q algo %q", tc.recycled, run.Cache, run.Algo)
+				}
+				continue
+			}
+			if run.Cache != "relax" || string(run.Source) != tc.source || run.Algo != tc.algo {
+				t.Fatalf("Recycled=%q min=%d: cache %q source %q algo %q, want relax %s %s",
+					tc.recycled, min, run.Cache, run.Source, run.Algo, tc.source, tc.algo)
+			}
+		}
+		if events[engine.CacheMiss] != 1 || events[engine.CacheRelax] != 4 || events[engine.CacheInstall] != 5 {
+			t.Fatalf("Recycled=%q: cache events %v", tc.recycled, events)
+		}
+	}
+}

@@ -5,9 +5,10 @@
 //
 // Databases are uploaded in basket format; every mining request can save its
 // result under a name, and later requests (from any user) reuse saved sets
-// automatically: a saved set mined at a threshold at or below the request's
-// is filtered, anything else is recycled through compression. JSON in and
-// out, stdlib only.
+// automatically: a saved set or lattice rung mined at a threshold at or
+// below the request's is filtered, anything else is mined fresh with
+// FP-growth, and a request naming a saved set (use) recycles it through
+// compression. JSON in and out, stdlib only.
 //
 // The service is built to be operated, not just demonstrated:
 //
@@ -260,9 +261,9 @@ func WithCompressWorkers(n int) Option {
 	}
 }
 
-// WithMineWorkers parallelizes the mining phase of fresh and recycled runs
-// over n worker goroutines (n < 0 means GOMAXPROCS; 0, the default, mines
-// serially). The emitted pattern set and supports are identical to serial
+// WithMineWorkers parallelizes the mining phase of recycled runs (requests
+// naming a saved set; fresh FP-growth has no parallel form) over n worker
+// goroutines (n < 0 means GOMAXPROCS; 0, the default, mines serially). The emitted pattern set and supports are identical to serial
 // mining at any worker count; parallel runs still honor request contexts,
 // deadlines and job cancellation.
 func WithMineWorkers(n int) Option { return func(s *Server) { s.mineWorkers = n } }
@@ -761,9 +762,10 @@ type MineRequest struct {
 	MinSupport float64 `json:"min_support,omitempty"`
 	// MinCount is an absolute support threshold.
 	MinCount int `json:"min_count,omitempty"`
-	// Use selects the input knowledge: "auto" (default — filter or recycle
-	// the best saved set), "fresh" (ignore saved sets), or the name of a
-	// specific saved set to recycle.
+	// Use selects the input knowledge: "auto" (default — the lattice, then
+	// the best saved set, filters a tightened threshold; a relaxed one is
+	// mined fresh), "fresh" (ignore saved sets), or the name of a specific
+	// saved set to recycle.
 	Use string `json:"use,omitempty"`
 	// SaveAs stores the result under this name for later requests.
 	SaveAs string `json:"save_as,omitempty"`
@@ -786,7 +788,8 @@ type MineResponse struct {
 	Source   mining.Source `json:"source"` // fresh | filtered | recycled
 	BasedOn  string        `json:"based_on,omitempty"`
 	// Cache reports how the threshold lattice served the round: "hit"
-	// (pure filter of a rung), "relax" (rung-seeded recycling) or "miss".
+	// (pure filter of a rung), "relax" (only rungs above the threshold; the
+	// round is mined) or "miss".
 	// Omitted only when the lattice is disabled.
 	Cache     string  `json:"cache,omitempty"`
 	ElapsedMS float64 `json:"elapsed_ms"`

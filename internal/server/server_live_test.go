@@ -84,13 +84,19 @@ func TestMineCancelledOnDisconnect(t *testing.T) {
 // TestParallelMineCancelledOnDisconnect proves the WithMineWorkers path is
 // reachable from the public surface and that an in-flight parallel mine
 // honors job/request cancellation: the pool stops dispatching and in-flight
-// workers abort within the same bound as the serial path.
+// workers abort within the same bound as the serial path. Only a recycle of
+// a named saved set runs on the pool (fresh FP-growth has no par-* form),
+// so the mines here recycle an empty saved set, which leaves the whole
+// database for the engine.
 func TestParallelMineCancelledOnDisconnect(t *testing.T) {
 	srv := server.New(server.WithMineWorkers(2))
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	do(t, "PUT", ts.URL+"/db/slow", slowBasket(30, 60))
+	if resp, body := do(t, "POST", ts.URL+"/db/slow/mine", `{"min_count":61,"save_as":"none"}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("save empty set: %d %s", resp.StatusCode, body)
+	}
 
 	inFlight := srv.Registry().Gauge("mine.in_flight")
 	cancelled := srv.Registry().Counter("mine.requests.cancelled")
@@ -99,7 +105,7 @@ func TestParallelMineCancelledOnDisconnect(t *testing.T) {
 	errc := make(chan error, 1)
 	go func() {
 		req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/db/slow/mine",
-			strings.NewReader(`{"min_count":1}`))
+			strings.NewReader(`{"min_count":1,"use":"none"}`))
 		_, err := http.DefaultClient.Do(req)
 		errc <- err
 	}()
@@ -122,12 +128,12 @@ func TestParallelMineCancelledOnDisconnect(t *testing.T) {
 	if v := srv.Registry().Gauge("mine_workers").Value(); v != 2 {
 		t.Errorf("mine_workers gauge = %d, want 2", v)
 	}
-	resp, body := do(t, "POST", ts.URL+"/db/slow/mine", `{"min_count":61}`)
+	resp, body := do(t, "POST", ts.URL+"/db/slow/mine", `{"min_count":61,"use":"none"}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("quick parallel mine: %d %s", resp.StatusCode, body)
 	}
-	if v := srv.Registry().Counter("mine.algo.par-hmine").Value(); v != 1 {
-		t.Errorf("mine.algo.par-hmine = %d, want 1", v)
+	if v := srv.Registry().Counter("mine.algo.par-rp-fptree").Value(); v != 1 {
+		t.Errorf("mine.algo.par-rp-fptree = %d, want 1", v)
 	}
 	// The duration histogram uses the same canonical registry name as the
 	// counter, so the two families always line up per algorithm.
@@ -136,8 +142,8 @@ func TestParallelMineCancelledOnDisconnect(t *testing.T) {
 	if err := json.Unmarshal(body, &snap); err != nil {
 		t.Fatalf("metrics JSON: %v\n%s", err, body)
 	}
-	if h := snap.Histograms["mine_duration_seconds.par-hmine"]; h.Count != 1 {
-		t.Errorf("histogram mine_duration_seconds.par-hmine count = %d, want 1", h.Count)
+	if h := snap.Histograms["mine_duration_seconds.par-rp-fptree"]; h.Count != 1 {
+		t.Errorf("histogram mine_duration_seconds.par-rp-fptree count = %d, want 1", h.Count)
 	}
 }
 
@@ -363,8 +369,9 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	do(t, "PUT", ts.URL+"/db/paper", basket(t))
 	do(t, "POST", ts.URL+"/db/paper/mine", `{"min_count":3,"save_as":"r1"}`)
-	do(t, "POST", ts.URL+"/db/paper/mine", `{"min_count":2}`) // recycled
-	do(t, "POST", ts.URL+"/db/paper/mine", `{"min_count":4}`) // filtered
+	do(t, "POST", ts.URL+"/db/paper/mine", `{"min_count":2}`)            // relax, mined fresh
+	do(t, "POST", ts.URL+"/db/paper/mine", `{"min_count":4}`)            // filtered
+	do(t, "POST", ts.URL+"/db/paper/mine", `{"min_count":1,"use":"r1"}`) // recycled
 
 	resp, body := do(t, "GET", ts.URL+"/metrics", "")
 	if resp.StatusCode != http.StatusOK {
@@ -375,20 +382,20 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("metrics JSON: %v\n%s", err, body)
 	}
 	for name, want := range map[string]int64{
-		"mine.requests.total":  3,
-		"mine.source.fresh":    1,
+		"mine.requests.total":  4,
+		"mine.source.fresh":    2,
 		"mine.source.recycled": 1,
 		"mine.source.filtered": 1,
-		"mine.algo.hmine":      1,
-		"mine.algo.rp-hmine":   1,
+		"mine.algo.fptree":     2,
+		"mine.algo.rp-fptree":  1,
 		"mine.algo.filter":     1,
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("counter %s = %d, want %d", name, got, want)
 		}
 	}
-	if h := snap.Histograms["mine.latency_ms"]; h.Count != 3 {
-		t.Errorf("latency histogram count = %d, want 3", h.Count)
+	if h := snap.Histograms["mine.latency_ms"]; h.Count != 4 {
+		t.Errorf("latency histogram count = %d, want 4", h.Count)
 	}
 	if h := snap.Histograms["mine.compression_ratio"]; h.Count != 1 {
 		t.Errorf("ratio histogram count = %d, want 1", h.Count)
@@ -406,13 +413,13 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("mine_workers gauge = %d (present=%v), want 1", v, ok)
 	}
 	// Every finished run lands in its algorithm's duration histogram.
-	for _, name := range []string{
-		"mine_duration_seconds.hmine",
-		"mine_duration_seconds.rp-hmine",
-		"mine_duration_seconds.filter",
+	for name, want := range map[string]int64{
+		"mine_duration_seconds.fptree":    2,
+		"mine_duration_seconds.rp-fptree": 1,
+		"mine_duration_seconds.filter":    1,
 	} {
-		if h := snap.Histograms[name]; h.Count != 1 {
-			t.Errorf("histogram %s count = %d, want 1", name, h.Count)
+		if h := snap.Histograms[name]; h.Count != want {
+			t.Errorf("histogram %s count = %d, want %d", name, h.Count, want)
 		}
 	}
 	for _, g := range []string{"jobs.queue_depth", "jobs.running", "mine.in_flight"} {

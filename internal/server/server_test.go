@@ -83,11 +83,11 @@ func TestUploadMineRecycleFlow(t *testing.T) {
 	}
 
 	// Round 2 relaxed: the ladder only has rung 3, so this is a lattice
-	// relax-mine, seeded by the saved set (same threshold as the rung).
+	// relax, which the default pipeline mines fresh rather than recycle.
 	resp, body = do(t, "POST", ts.URL+"/db/paper/mine", `{"min_count":2}`)
 	var r2 server.MineResponse
 	json.Unmarshal(body, &r2)
-	if resp.StatusCode != http.StatusOK || r2.Source != "recycled" || r2.BasedOn != "round1" || r2.Cache != "relax" {
+	if resp.StatusCode != http.StatusOK || r2.Source != "fresh" || r2.BasedOn != "" || r2.Cache != "relax" {
 		t.Fatalf("round2 = %+v (%d)", r2, resp.StatusCode)
 	}
 	want := len(testutil.Oracle(t, testutil.PaperDB(), 2))
@@ -107,11 +107,13 @@ func TestUploadMineRecycleFlow(t *testing.T) {
 		t.Fatalf("round3 count = %d", r3.Count)
 	}
 
-	// Explicit recycle source and fresh both bypass the ladder.
+	// Explicit recycle source and fresh both bypass the ladder; a named
+	// saved set is always recycled.
 	resp, body = do(t, "POST", ts.URL+"/db/paper/mine", `{"min_count":1,"use":"round1"}`)
 	var r4 server.MineResponse
 	json.Unmarshal(body, &r4)
-	if r4.Source != "recycled" || r4.Cache != "miss" || r4.Count != len(testutil.Oracle(t, testutil.PaperDB(), 1)) {
+	if r4.Source != "recycled" || r4.BasedOn != "round1" || r4.Cache != "miss" ||
+		r4.Count != len(testutil.Oracle(t, testutil.PaperDB(), 1)) {
 		t.Fatalf("round4 = %+v", r4)
 	}
 	resp, body = do(t, "POST", ts.URL+"/db/paper/mine", `{"min_count":2,"use":"fresh"}`)

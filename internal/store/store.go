@@ -285,10 +285,11 @@ var errTornTail = errors.New("store: torn tail")
 
 // replayRecords streams every valid record of one segment into apply and
 // returns the byte offset of the end of the last valid record. A record cut
-// short or failing its checksum yields errTornTail with the good prefix
-// length; corruption *behind* a valid record cannot be distinguished from a
-// torn tail by format alone, so the caller decides by position (only the
-// active segment may have one).
+// short, or failing its checksum as the last frame, yields errTornTail with
+// the good prefix length; the caller decides by position whether a torn
+// tail is allowed (only the active segment may have one). A crash tears only
+// the last frame, so a checksum failure whose length field leads to a frame
+// with a valid checksum is corruption: ErrCorrupt, naming segment and offset.
 func replayRecords(f *os.File, apply func(ref recordRef, payload []byte) error, seq int64) (int64, error) {
 	magic := make([]byte, len(segMagic))
 	if _, err := io.ReadFull(f, magic); err != nil {
@@ -301,37 +302,51 @@ func replayRecords(f *os.File, apply func(ref recordRef, payload []byte) error, 
 		return 0, fmt.Errorf("%w: bad segment magic", ErrCorrupt)
 	}
 	off := int64(len(segMagic))
-	var hdr [frameHeader]byte
 	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if err == io.EOF {
-				return off, nil
-			}
-			if err == io.ErrUnexpectedEOF {
-				return off, errTornTail
-			}
+		payload, ok, err := readFrame(f)
+		switch {
+		case err == io.EOF:
+			return off, nil
+		case err == errTornTail:
+			return off, err
+		case err != nil:
 			return off, fmt.Errorf("store: %w", err)
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxRecordBytes {
+		case !ok:
+			if _, nextOK, _ := readFrame(f); nextOK {
+				return off, fmt.Errorf("%w: record at segment %d offset %d fails its checksum before a valid record", ErrCorrupt, seq, off)
+			}
 			return off, errTornTail
 		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return off, errTornTail
-			}
-			return off, fmt.Errorf("store: %w", err)
-		}
-		if crc32.Checksum(payload, crcTable) != sum {
-			return off, errTornTail
-		}
-		if err := apply(recordRef{seg: seq, off: off, n: frameHeader + int(n)}, payload); err != nil {
+		if err := apply(recordRef{seg: seq, off: off, n: frameHeader + len(payload)}, payload); err != nil {
 			return off, err
 		}
-		off += frameHeader + int64(n)
+		off += frameHeader + int64(len(payload))
 	}
+}
+
+// readFrame reads the frame at r's offset and reports whether its payload
+// matches its checksum. It returns io.EOF at a clean end and errTornTail for
+// a frame cut short or with an impossible length.
+func readFrame(r io.Reader) (payload []byte, ok bool, err error) {
+	var hdr [frameHeader]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		if err == io.ErrUnexpectedEOF {
+			return nil, false, errTornTail
+		}
+		return nil, false, err
+	}
+	n := binary.LittleEndian.Uint32(hdr[0:4])
+	if n == 0 || n > maxRecordBytes {
+		return nil, false, errTornTail
+	}
+	payload = make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil, false, errTornTail
+		}
+		return nil, false, err
+	}
+	return payload, crc32.Checksum(payload, crcTable) == binary.LittleEndian.Uint32(hdr[4:8]), nil
 }
 
 // applyLocked folds one record into the index. It is the only decoder of

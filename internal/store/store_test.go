@@ -3,9 +3,11 @@ package store
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -330,19 +332,19 @@ func TestCorruptionMidSegment(t *testing.T) {
 	if err := os.WriteFile(seg, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// The flipped record reads as a torn tail at offset len(magic), but a
-	// valid record follows it — still, by the format alone this is
-	// indistinguishable from a tail, so recovery truncates to the last
-	// valid prefix. The acknowledged-state guarantee is about crashes (tails
-	// only); what we assert here is that Open never surfaces half-valid data
-	// as if nothing happened: d2 must be gone along with d1.
+	// A crash tears only the last frame, and a valid record follows the
+	// flipped one, so this is corruption: Open refuses it, naming the
+	// segment and the offset, rather than truncating away the acknowledged
+	// d2 as a torn tail.
 	rs, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatalf("Open: %v", err)
+	if !errors.Is(err, ErrCorrupt) {
+		if err == nil {
+			t.Fatalf("Open accepted a mid-segment checksum failure: %d dbs", len(rs.List()))
+		}
+		t.Fatalf("Open = %v, want ErrCorrupt", err)
 	}
-	defer rs.Close()
-	if n := len(rs.List()); n != 0 {
-		t.Fatalf("recovered %d dbs past corruption", n)
+	if want := fmt.Sprintf("segment 1 offset %d", len(segMagic)); !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open = %v, want it to name %q", err, want)
 	}
 }
 

@@ -58,7 +58,7 @@ func (o Options) factor() int {
 }
 
 // pipeline assembles the engine pipeline the strategies run through: fresh
-// H-Mine seeds, the configured engine mines the compressed cascade rounds,
+// FP-growth seeds, the configured engine mines the compressed cascade rounds,
 // and the optional lattice is attached keyed by db.
 func (o Options) pipeline(db *dataset.DB) engine.Pipeline {
 	name := o.Engine
