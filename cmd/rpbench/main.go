@@ -5,12 +5,10 @@
 // serial scan, the indexed serial engine, and the sharded parallel engine —
 // on dense Connect-4-style workloads, reporting ns/op, allocs/op, the
 // compression ratio, and the speedup against the serial scan. The mine
-// experiment measures the mining phase: fresh H-Mine, then every wrappable
-// recycled miner the engine registry carries (rp-hmine, rp-fptree,
-// rp-treeproj) over the precompressed database serially and across a
-// worker-count grid through the registry's derived par-* variants, reporting
-// each parallel row's speedup against its own miner's serial row. The
-// service's end-to-end benchmark is perfbench/ (see perfbench/README.md).
+// experiment measures the mining phase: fresh H-Mine, then rp-hmine,
+// rp-fptree and rp-treeproj over the precompressed database, reporting each
+// row's speedup against fresh H-Mine. The service's end-to-end benchmark is
+// perfbench/ (see perfbench/README.md).
 //
 // Every experiment runs once per point of a GOMAXPROCS grid (default
 // 1, 4 and NumCPU, deduplicated) and each entry embeds the gomaxprocs it
@@ -22,10 +20,7 @@
 // parallelism (NumCPU=1) writing baselines is refused unless -allow-serial
 // states the limitation explicitly.
 //
-// Two maintenance modes skip measurement entirely: -check validates a
-// recorded mine report against the bench.SpeedupFloor guardrail (every
-// par-* 1-worker row must hold ≥ 0.9x of its serial miner — the CI gate
-// that keeps wrapper dispatch overhead honest), and -diff compares two
+// One maintenance mode skips measurement entirely: -diff compares two
 // recorded reports entry by entry (time ratio, allocs, bytes).
 //
 // Usage:
@@ -33,7 +28,6 @@
 //	go run ./cmd/rpbench              # full grid, writes ./BENCH_*.json
 //	go run ./cmd/rpbench -quick       # CI smoke: smaller inputs, same files
 //	go run ./cmd/rpbench -scale 0.02 -out bench-out -procs 1,8
-//	go run ./cmd/rpbench -check bench-out/BENCH_mine.json
 //	go run ./cmd/rpbench -diff BENCH_mine.json bench-out/BENCH_mine.json
 package main
 
@@ -59,16 +53,10 @@ func main() {
 		"allow writing baselines on a single-core machine, where parallel speedups are scheduling artifacts")
 	forceProcs := flag.Bool("force-procs", false,
 		"keep procs grid points above NumCPU instead of clamping them (measures scheduler oversubscription)")
-	check := flag.String("check", "",
-		"validate the given BENCH_mine.json against the speedup guardrail and exit")
 	diffMode := flag.Bool("diff", false,
 		"compare two recorded reports: rpbench -diff old.json new.json")
 	flag.Parse()
 
-	if *check != "" {
-		runCheck(*check)
-		return
-	}
 	if *diffMode {
 		if flag.NArg() != 2 {
 			fatal(fmt.Errorf("-diff takes exactly two report files, got %d", flag.NArg()))
@@ -150,25 +138,6 @@ func main() {
 			fmt.Println()
 		}
 	}
-}
-
-// runCheck gates a recorded mine report on the speedup floor and exits
-// non-zero on any violation — the CI guardrail entry point.
-func runCheck(path string) {
-	rep, err := bench.LoadReport(path)
-	if err != nil {
-		fatal(err)
-	}
-	violations := bench.CheckReport(rep)
-	if len(violations) == 0 {
-		fmt.Printf("%s: all par-* 1-worker rows hold the %.2fx speedup floor\n", path, bench.SpeedupFloor)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "%s: %d guardrail violation(s):\n", path, len(violations))
-	for _, v := range violations {
-		fmt.Fprintln(os.Stderr, "  "+v)
-	}
-	os.Exit(1)
 }
 
 // runDiff prints an entry-by-entry comparison of two recorded reports.

@@ -25,9 +25,8 @@
 //	rpmine -in data.basket -minsup 0.05 -data-dir .rpmine-cache   # pure filter
 //
 // Every algorithm comes from the engine registry — run `rpmine -list` for
-// the full catalogue: baselines (apriori, hmine, ...), recycling engines
-// (rp-naive, rp-hmine, ...; they use -recycle), and the derived parallel
-// variants (par-hmine, par-rp-hmine, ...; tune with -workers).
+// the full catalogue: baselines (apriori, hmine, ...) and recycling engines
+// (rp-naive, rp-hmine, ...; they use -recycle).
 package main
 
 import (
@@ -65,7 +64,6 @@ func main() {
 		save     = flag.String("save", "", "save the mined patterns to this file")
 		outPath  = flag.String("out", "", "write patterns to this file (default: summary only)")
 		memMB    = flag.Int("mem", 0, "memory budget in MB (0 = unlimited); hmine/rp-* only")
-		workers  = flag.Int("workers", 0, "worker goroutines for par-* algorithms (0 = GOMAXPROCS)")
 		list     = flag.Bool("list", false, "list the registered algorithms and exit")
 		quiet    = flag.Bool("quiet", false, "suppress per-pattern output entirely")
 		closed   = flag.Bool("closed", false, "report only closed patterns")
@@ -126,10 +124,10 @@ func main() {
 		if *memMB > 0 {
 			fatal(fmt.Errorf("-mem is not supported with a -minsup sweep or -data-dir"))
 		}
-		if err := sweep(db, mins, *algo, strat, recycled, recycledMin, *workers, *dataDir, *in, sink); err != nil {
+		if err := sweep(db, mins, *algo, strat, recycled, recycledMin, *dataDir, *in, sink); err != nil {
 			fatal(err)
 		}
-	} else if err := mine(db, min, *algo, strat, recycled, int64(*memMB)<<20, *workers, sink); err != nil {
+	} else if err := mine(db, min, *algo, strat, recycled, int64(*memMB)<<20, sink); err != nil {
 		fatal(err)
 	}
 	elapsed := time.Since(start)
@@ -222,12 +220,12 @@ func parseMinsups(s string, dbLen int) ([]int, error) {
 // invocations on the same input are re-installed before round one, and every
 // rung this sweep installs is written back, so a shell loop over thresholds
 // recycles exactly like a long-lived session.
-func sweep(db *dataset.DB, mins []int, algo string, strat core.Strategy, recycled []mining.Pattern, recycledMin, workers int, dataDir, inPath string, sink mining.Sink) error {
+func sweep(db *dataset.DB, mins []int, algo string, strat core.Strategy, recycled []mining.Pattern, recycledMin int, dataDir, inPath string, sink mining.Sink) error {
 	d, ok := engine.Lookup(algo)
 	if !ok {
 		return fmt.Errorf("rpmine: unknown algorithm %q (run rpmine -list)", algo)
 	}
-	p := engine.Pipeline{Strategy: strat, MineWorkers: workers, Cache: engine.SharedStore().Cache(db)}
+	p := engine.Pipeline{Strategy: strat, Cache: engine.SharedStore().Cache(db)}
 	if d.Kind == engine.Fresh {
 		p.Fresh = algo
 	} else {
@@ -300,7 +298,7 @@ func sweep(db *dataset.DB, mins []int, algo string, strat core.Strategy, recycle
 }
 
 // mine dispatches to the selected algorithm through the engine registry.
-func mine(db *dataset.DB, min int, algo string, strat core.Strategy, recycled []mining.Pattern, budget int64, workers int, sink mining.Sink) error {
+func mine(db *dataset.DB, min int, algo string, strat core.Strategy, recycled []mining.Pattern, budget int64, sink mining.Sink) error {
 	d, ok := engine.Lookup(algo)
 	if !ok {
 		return fmt.Errorf("rpmine: unknown algorithm %q (run rpmine -list)", algo)
@@ -313,7 +311,7 @@ func mine(db *dataset.DB, min int, algo string, strat core.Strategy, recycled []
 			}
 			return memlimit.MineDB(db, min, memlimit.Config{Budget: budget}, sink)
 		}
-		m, err := engine.NewMiner(algo, workers)
+		m, err := engine.NewMiner(algo)
 		if err != nil {
 			return err
 		}
@@ -327,26 +325,16 @@ func mine(db *dataset.DB, min int, algo string, strat core.Strategy, recycled []
 	s := cdb.Stats()
 	fmt.Fprintf(os.Stderr, "compressed: %d groups covering %d tuples, ratio %.3f\n",
 		s.NumGroups, s.Grouped, s.Ratio)
+	eng, err := engine.NewEngine(algo)
+	if err != nil {
+		return err
+	}
 	if budget > 0 {
-		// memlimit mines its partitions serially, so a par-* name runs
-		// its serial engine.
-		serial := d.Name
-		if d.Base != "" {
-			serial = d.Base
-		}
-		eng, err := engine.NewEngine(serial, 0)
-		if err != nil {
-			return err
-		}
 		enc, ok := eng.(core.EncodedMiner)
 		if !ok {
 			return fmt.Errorf("rpmine: -mem does not support %s", algo)
 		}
 		return memlimit.MineCDB(cdb, min, memlimit.Config{Budget: budget, Engine: enc}, sink)
-	}
-	eng, err := engine.NewEngine(algo, workers)
-	if err != nil {
-		return err
 	}
 	return eng.MineCDB(context.Background(), cdb, min, sink)
 }

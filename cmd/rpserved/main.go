@@ -94,7 +94,6 @@ func main() {
 		maxBody       = flag.Int64("max-upload-mb", 64, "maximum upload size in MiB")
 		mineTimeout   = flag.Duration("mine-timeout", 0, "per-request mining deadline (0 = none)")
 		workers       = flag.Int("workers", 0, "async mining workers (0 = NumCPU)")
-		mineWorkers   = flag.Int("mine-workers", 0, "worker pool per recycling run, i.e. use=<saved set> requests (0 = serial, -1 = GOMAXPROCS)")
 		queue         = flag.Int("queue", 64, "async job queue depth")
 		maxDBs        = flag.Int("tenant-max-dbs", 0, "per-tenant resident database quota (0 = unlimited)")
 		maxJobs       = flag.Int("tenant-max-jobs", 0, "per-tenant queued async job quota (0 = unlimited)")
@@ -131,7 +130,6 @@ func main() {
 		server.WithMaxBodyBytes(*maxBody<<20),
 		server.WithMineTimeout(*mineTimeout),
 		server.WithWorkers(*workers),
-		server.WithMineWorkers(*mineWorkers),
 		server.WithQueueDepth(*queue),
 		server.WithQuotas(shard.Quotas{
 			MaxDBs:          *maxDBs,

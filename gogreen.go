@@ -17,10 +17,9 @@
 //		gogreen.WithMinSupport(0.01), gogreen.WithEngine(gogreen.RecycleHMine))
 //
 // Both entry points honor context cancellation and deadlines. HMine,
-// FPGrowth and every recycling engine (serial or parallel) check the
-// context mid-recursion, so a long mine can be aborted from another
-// goroutine; Apriori, TreeProj and Eclat check it only when the call
-// starts and returns.
+// FPGrowth and every recycling engine check the context mid-recursion, so a
+// long mine can be aborted from another goroutine; Apriori, TreeProj and
+// Eclat check it only when the call starts and returns.
 //
 // The sub-systems (constraint framework, memory-limited mining, pattern
 // persistence, interactive sessions, synthetic dataset generators) are
@@ -78,9 +77,8 @@ const (
 	MLP = core.MLP
 )
 
-// Algorithm names a mining algorithm for Mine and MineRecycling. Any
-// canonical name from the engine registry is valid, including the par-*
-// parallel variants; the constants below cover the serial algorithms.
+// Algorithm names a mining algorithm for Mine and MineRecycling. The
+// constants below cover every canonical name in the engine registry.
 type Algorithm string
 
 // Baseline (non-recycling) algorithms.
@@ -103,17 +101,16 @@ const (
 // NewMiner returns the named baseline miner, or an error for unknown or
 // recycling-only names.
 func NewMiner(a Algorithm) (Miner, error) {
-	return engine.NewMiner(string(a), 0)
+	return engine.NewMiner(string(a))
 }
 
 // NewEngine returns the named compressed-database miner.
 func NewEngine(a Algorithm) (CDBMiner, error) {
-	return engine.NewEngine(string(a), 0)
+	return engine.NewEngine(string(a))
 }
 
 // Algorithms lists every canonical algorithm name from the engine
-// registry: baselines, then recycling engines, then the derived par-*
-// parallel variants.
+// registry: baselines, then recycling engines.
 func Algorithms() []Algorithm {
 	names := engine.Names()
 	out := make([]Algorithm, len(names))
@@ -147,7 +144,7 @@ type MineOptions struct {
 	// Strategy picks the compression utility for recycling (default MCP).
 	Strategy Strategy
 	// Engine names the compressed-database miner for recycling (default
-	// RecycleHMine).
+	// RecycleFPGrowth).
 	Engine Algorithm
 	// Sink, when set, streams patterns instead of collecting them: the sink
 	// receives every pattern and Result.Patterns stays nil.
@@ -156,13 +153,6 @@ type MineOptions struct {
 	// worker goroutines; <= 0 means GOMAXPROCS. Output is byte-identical at
 	// any worker count.
 	CompressWorkers int
-	// MineWorkers parallelizes the mining phase: 0 (the default) mines
-	// serially, n > 0 uses n worker goroutines, and n < 0 uses GOMAXPROCS.
-	// It applies to the HMine baseline and to every recycling engine except
-	// RecycleNaive (which falls back to serial mining). The emitted pattern
-	// set and supports are identical to serial mining; only the emission
-	// order differs.
-	MineWorkers int
 }
 
 // MineOption configures one call of Mine or MineRecycling.
@@ -191,17 +181,9 @@ func WithSink(s Sink) MineOption { return func(o *MineOptions) { o.Sink = s } }
 // result — is byte-identical at any worker count.
 func WithCompressWorkers(n int) MineOption { return func(o *MineOptions) { o.CompressWorkers = n } }
 
-// WithMineWorkers parallelizes the mining phase over n worker goroutines
-// (n < 0 means GOMAXPROCS; 0, the default, mines serially). Applies to the
-// HMine baseline and to the RecycleHMine, RecycleFPGrowth and
-// RecycleTreeProj engines; other algorithms mine serially. The emitted
-// pattern set and supports are identical to serial mining at any worker
-// count; only the emission order differs.
-func WithMineWorkers(n int) MineOption { return func(o *MineOptions) { o.MineWorkers = n } }
-
 // resolve applies the options and computes the absolute threshold.
 func resolve(db *DB, opts []MineOption) (MineOptions, int, error) {
-	o := MineOptions{Strategy: MCP, Engine: RecycleHMine}
+	o := MineOptions{Strategy: MCP}
 	for _, opt := range opts {
 		opt(&o)
 	}
@@ -219,14 +201,13 @@ func (o MineOptions) pipeline(algo Algorithm) engine.Pipeline {
 		Recycled:        string(o.Engine),
 		Strategy:        o.Strategy,
 		CompressWorkers: o.CompressWorkers,
-		MineWorkers:     o.MineWorkers,
 	}
 }
 
 // Mine runs a baseline algorithm under ctx and returns the round's Result.
-// For HMine (serial or parallel) and FPGrowth, cancellation and deadlines
-// abort the recursion cooperatively within microseconds; Apriori, TreeProj
-// and Eclat check ctx only before and after mining.
+// For HMine and FPGrowth, cancellation and deadlines abort the recursion
+// cooperatively within microseconds; Apriori, TreeProj and Eclat check ctx
+// only before and after mining.
 func Mine(ctx context.Context, db *DB, algo Algorithm, opts ...MineOption) (Result, error) {
 	o, min, err := resolve(db, opts)
 	if err != nil {
@@ -255,7 +236,7 @@ func CompressParallel(ctx context.Context, db *DB, recycled []Pattern, strat Str
 
 // MineRecycling runs the full two-phase scheme under ctx: compress db with
 // the recycled patterns, then mine the compressed database. Strategy and
-// engine default to MCP and RecycleHMine; override with WithStrategy and
+// engine default to MCP and RecycleFPGrowth; override with WithStrategy and
 // WithEngine.
 func MineRecycling(ctx context.Context, db *DB, recycled []Pattern, opts ...MineOption) (Result, error) {
 	o, min, err := resolve(db, opts)

@@ -16,7 +16,7 @@ func TestRegistryComplete(t *testing.T) {
 	for i := 9; i <= 24; i++ {
 		want = append(want, fmt.Sprintf("fig%d", i))
 	}
-	want = append(want, "ablation-utility", "ablation-singlegroup", "ablation-xiold", "ablation-engine", "ablation-incremental", "ablation-parallel", "ablation-twostep", "ablation-dedup")
+	want = append(want, "ablation-utility", "ablation-singlegroup", "ablation-xiold", "ablation-engine", "ablation-incremental", "ablation-twostep", "ablation-dedup")
 	for _, id := range want {
 		if bench.ByID(id) == nil {
 			t.Errorf("experiment %q not registered", id)

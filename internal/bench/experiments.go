@@ -235,7 +235,7 @@ func flatten(db *dataset.DB) [][]dataset.Item { return db.All() }
 // registryMiner and registryEngine resolve canonical names through the
 // engine registry; an unknown name is a bench bug, not an input error.
 func registryMiner(name string) mining.Miner {
-	m, err := engine.NewMiner(name, 0)
+	m, err := engine.NewMiner(name)
 	if err != nil {
 		panic(err)
 	}
@@ -243,7 +243,7 @@ func registryMiner(name string) mining.Miner {
 }
 
 func registryEngine(name string) core.CDBMiner {
-	e, err := engine.NewEngine(name, 0)
+	e, err := engine.NewEngine(name)
 	if err != nil {
 		panic(err)
 	}
@@ -255,13 +255,13 @@ func registryEngine(name string) core.CDBMiner {
 func hmineMiner() mining.Miner    { return registryMiner("hmine") }
 func rphmineMiner() core.CDBMiner { return registryEngine("rp-hmine") }
 
-// engines returns every serial recycled engine the registry carries, so a
+// engines returns every recycled engine the registry carries, so a
 // newly registered engine joins the ablation grid automatically.
 func engines() []core.CDBMiner {
 	var out []core.CDBMiner
 	for _, d := range engine.Descriptors() {
-		if d.Kind == engine.Recycled && d.Base == "" {
-			out = append(out, d.Engine(0))
+		if d.Kind == engine.Recycled {
+			out = append(out, d.Engine())
 		}
 	}
 	return out

@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"sort"
 	"testing"
 
 	"gogreen/internal/core"
@@ -221,23 +220,11 @@ func CompressPerf(cfg Config, quick bool) (PerfReport, error) {
 	return rep, nil
 }
 
-// pairRuns is how many interleaved serial/1-worker pairs MinePerf measures
-// per miner.
-const pairRuns = 5
-
 // MinePerf benchmarks the mining phase on the Connect-4 preset at one ξ_new
-// below its ξ_old: fresh H-Mine, then each recycled miner over the
-// precompressed database — serial, plus a worker-count grid through the
-// parallel wrapper. Compression is excluded (it has its own report); every
-// parallel row's SpeedupVsSerial is measured against its own miner's serial
-// row, the serial recycled rows against fresh H-Mine (the recycling
-// advantage).
-//
-// A serial row and its 1-worker par-* row (the rows CheckReport gates) are
-// measured as pairRuns interleaved pairs — serial, par, serial, par, … — so
-// host speed drift lands on both halves of a pair alike. The 1-worker row's
-// SpeedupVsSerial is the median of the per-pair ratios, and each of the two
-// rows reports its median run.
+// below its ξ_old: fresh H-Mine, then each recycled H-Mine, FP-tree and Tree
+// Projection engine over the precompressed database. Compression is
+// excluded (it has its own report); every row's SpeedupVsSerial is measured
+// against fresh H-Mine (the recycling advantage).
 func MinePerf(cfg Config, quick bool) (PerfReport, error) {
 	rep := newReport("mine", cfg, quick)
 	scale := cfg.Scale
@@ -256,107 +243,41 @@ func MinePerf(cfg Config, quick bool) (PerfReport, error) {
 	fp := col.Patterns
 	cdb := core.Compress(db, fp, core.MCP)
 
-	measure := func(name string, workers int, run func() error) (PerfEntry, error) {
+	ctx := context.Background()
+	var freshNs float64
+	for _, name := range []string{"hmine", "rp-hmine", "rp-fptree", "rp-treeproj"} {
+		d, _ := engine.Lookup(name)
+		var c mining.Count
+		var run func() error
+		if d.Kind == engine.Fresh {
+			m := d.Miner()
+			run = func() error { return m.Mine(db, min, &c) }
+		} else {
+			e := d.Engine()
+			run = func() error { return e.MineCDB(ctx, cdb, min, &c) }
+		}
 		var runErr error
 		r := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if e := run(); e != nil {
-					runErr = e
+				if err := run(); err != nil {
+					runErr = err
 					b.FailNow()
 				}
 			}
 		})
 		if runErr != nil {
-			return PerfEntry{}, runErr
+			return rep, runErr
 		}
 		e := entryOf(r, "mine", "connect4", name)
-		e.Workers = workers
 		e.Patterns = len(fp)
-		return e, nil
-	}
-
-	// run returns one mine of registry entry d on a w-worker pool.
-	ctx := context.Background()
-	run := func(d engine.Descriptor, w int) func() error {
-		var c mining.Count
 		if d.Kind == engine.Fresh {
-			m := d.Miner(w)
-			return func() error { return m.Mine(db, min, &c) }
+			freshNs = e.NsPerOp
 		}
-		e := d.Engine(w)
-		return func() error { return e.MineCDB(ctx, cdb, min, &c) }
-	}
-
-	// Fresh H-Mine, then every recycled miner with a parallel variant over
-	// the precompressed database (a newly registered parallel engine joins
-	// the grid automatically): the serial row, with its speedup vs fresh
-	// H-Mine, then the registry's derived par-* variant over the worker
-	// grid, each with its speedup vs that miner's serial row.
-	var freshNs float64
-	for _, d := range engine.Descriptors() {
-		if d.Par == "" {
-			continue
-		}
-		pd, _ := engine.Lookup(d.Par)
-		serialRun, par1 := run(d, 0), run(pd, 1)
-		var serials, pars []PerfEntry
-		var ratios []float64
-		for i := 0; i < pairRuns; i++ {
-			s, err := measure(d.Name, 0, serialRun)
-			if err != nil {
-				return rep, err
-			}
-			p, err := measure(d.Par+"-1w", 1, par1)
-			if err != nil {
-				return rep, err
-			}
-			serials, pars = append(serials, s), append(pars, p)
-			ratios = append(ratios, s.NsPerOp/p.NsPerOp)
-		}
-		serial, par := medianEntry(serials), medianEntry(pars)
-		if d.Kind == engine.Fresh {
-			freshNs = serial.NsPerOp
-		}
-		serial.SpeedupVsSerial = freshNs / serial.NsPerOp
-		sort.Float64s(ratios)
-		par.SpeedupVsSerial = ratios[len(ratios)/2]
-		rep.Entries = append(rep.Entries, serial, par)
-		for _, w := range mineWorkerCounts(quick)[1:] { // 1 was measured above
-			e, err := measure(fmt.Sprintf("%s-%dw", d.Par, w), w, run(pd, w))
-			if err != nil {
-				return rep, err
-			}
-			e.SpeedupVsSerial = serial.NsPerOp / e.NsPerOp
-			rep.Entries = append(rep.Entries, e)
-		}
+		e.SpeedupVsSerial = freshNs / e.NsPerOp
+		rep.Entries = append(rep.Entries, e)
 	}
 	return rep, nil
-}
-
-// medianEntry returns the run with the median ns/op of an odd-length set.
-func medianEntry(runs []PerfEntry) PerfEntry {
-	sorted := append([]PerfEntry(nil), runs...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].NsPerOp < sorted[j].NsPerOp })
-	return sorted[len(sorted)/2]
-}
-
-// mineWorkerCounts is the mining-phase worker grid: 1 (wrapper overhead),
-// 2, and the machine's GOMAXPROCS, deduplicated; full runs add 4 so
-// single-core CI still exercises a contended pool.
-func mineWorkerCounts(quick bool) []int {
-	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
-	if !quick {
-		counts = append(counts, 4)
-	}
-	sort.Ints(counts)
-	out := counts[:0]
-	for i, w := range counts {
-		if i == 0 || w != out[len(out)-1] {
-			out = append(out, w)
-		}
-	}
-	return out
 }
 
 // parallelWorkerCounts picks the parallel shard counts to measure: the

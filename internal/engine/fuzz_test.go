@@ -13,9 +13,9 @@ import (
 
 // FuzzRecyclingEquivalence: for arbitrary tiny databases and thresholds,
 // every registered algorithm matches Apriori exactly. Fresh entries mine
-// the raw database; recycled entries (rp-naive, the rp-* engines and their
-// par-* variants on 2 workers) mine it compressed, under both strategies,
-// by the patterns Apriori finds at a tighter threshold.
+// the raw database; recycled entries (rp-naive and the rp-* engines) mine
+// it compressed, under both strategies, by the patterns Apriori finds at a
+// tighter threshold.
 func FuzzRecyclingEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 0x83, 1, 2, 3, 0x81, 2}, uint8(2), uint8(4))
 	f.Add([]byte{0x85, 5, 5, 5, 0x85, 5}, uint8(1), uint8(2))
@@ -62,7 +62,7 @@ func FuzzRecyclingEquivalence(f *testing.F) {
 		for _, d := range engine.Descriptors() {
 			if d.Kind == engine.Fresh {
 				var c mining.Collector
-				if err := d.Miner(2).Mine(db, min, &c); err != nil {
+				if err := d.Miner().Mine(db, min, &c); err != nil {
 					t.Fatalf("%s: %v", d.Name, err)
 				}
 				check(d.Name, &c)
@@ -70,7 +70,7 @@ func FuzzRecyclingEquivalence(f *testing.F) {
 			}
 			for _, strat := range []core.Strategy{core.MCP, core.MLP} {
 				var c mining.Collector
-				if err := d.Engine(2).MineCDB(context.Background(), cdbs[strat], min, &c); err != nil {
+				if err := d.Engine().MineCDB(context.Background(), cdbs[strat], min, &c); err != nil {
 					t.Fatalf("%s/%s: %v", d.Name, strat, err)
 				}
 				check(d.Name+"/"+strat.String(), &c)

@@ -44,17 +44,9 @@ func (t Threshold) Resolve(numTx int) (int, error) {
 	return min, nil
 }
 
-// PoolWorkers maps the public mine-workers knob (n < 0 = GOMAXPROCS,
-// n > 0 = exactly n; 0 = serial, which callers decide before construction)
-// onto the parallel package's pool convention (0 = GOMAXPROCS). It is the
-// single mapping between the two conventions — surfaces must not reimplement
-// it.
-func PoolWorkers(n int) int {
-	if n < 0 {
-		return 0
-	}
-	return n
-}
+// DefaultRecycled is the recycled engine a Pipeline uses when Recycled is
+// empty, and the one surfaces that always recycle on relax name explicitly.
+const DefaultRecycled = "rp-fptree"
 
 // FilterAlgo is the canonical algorithm label of the tighten-filter path,
 // which reuses an old result without running any miner.
@@ -86,13 +78,12 @@ type PhaseObserver interface {
 }
 
 // Run is the outcome of one pipeline run: the shared mining.Result plus the
-// canonical name of the algorithm that actually ran (after any par-*
-// promotion) and, for recycled runs, the compression statistics.
+// canonical name of the algorithm that ran and, for recycled runs, the
+// compression statistics.
 type Run struct {
 	mining.Result
-	// Algo is the canonical registry name that produced the result —
-	// "par-rp-hmine" when the worker knob promoted "rp-hmine", FilterAlgo
-	// for the filter path. Metrics and logs must use it verbatim.
+	// Algo is the canonical registry name that produced the result, or
+	// FilterAlgo for the filter path. Metrics and logs must use it verbatim.
 	Algo string
 	// CompressStats summarizes phase one of a recycled run; nil otherwise.
 	CompressStats *core.Stats
@@ -124,29 +115,23 @@ type Prior struct {
 }
 
 // Pipeline owns a mining run end to end. The zero value is usable: fresh
-// FP-growth, MCP compression, serial mining, GOMAXPROCS compression workers,
-// no observer. With Recycled left empty, execute and Serve mine a relaxed
-// round fresh rather than recycle it (on the serving workloads' data,
-// recycling seldom paid for its compression against fresh FP-growth, and
-// nothing known before the run tells when it does); only an explicit
-// MineRecycling or Recycler call recycles, with Recycle-FP.
+// FP-growth, MCP compression, GOMAXPROCS compression workers, no observer.
+// With Recycled left empty, execute and Serve mine a relaxed round fresh
+// rather than recycle it (on the serving workloads' data, recycling seldom
+// paid for its compression against fresh FP-growth, and nothing known
+// before the run tells when it does); only an explicit MineRecycling or
+// Recycler call recycles, with DefaultRecycled.
 type Pipeline struct {
 	// Fresh names the baseline algorithm for fresh runs ("" = "fptree").
 	Fresh string
 	// Recycled names the compressed-database engine. Empty means relaxed
-	// rounds mine fresh, and MineRecycling and Recycler use "rp-fptree".
+	// rounds mine fresh, and MineRecycling and Recycler use DefaultRecycled.
 	Recycled string
 	// Strategy picks the compression utility function (default MCP).
 	Strategy core.Strategy
 	// CompressWorkers shards the compression phase; <= 0 means GOMAXPROCS.
 	// Output is byte-identical at any worker count.
 	CompressWorkers int
-	// MineWorkers parallelizes the mining phase: 0 (default) mines
-	// serially, n > 0 uses n workers, n < 0 uses GOMAXPROCS. A non-zero
-	// value promotes the named algorithm to its par-* registry variant when
-	// one exists; algorithms without one (apriori, rp-naive, ...) mine
-	// serially.
-	MineWorkers int
 	// Observer, when set, watches every phase of every run. An observer
 	// that also implements CacheObserver additionally receives the lattice
 	// events of Serve.
@@ -160,40 +145,34 @@ type Pipeline struct {
 }
 
 // resolve returns the descriptor of the named algorithm of kind (def when
-// name is empty), after worker promotion.
-func (p *Pipeline) resolve(name, def string, kind Kind) (Descriptor, error) {
+// name is empty).
+func resolve(name, def string, kind Kind) (Descriptor, error) {
 	if name == "" {
 		name = def
 	}
-	d, err := lookupKind(name, kind)
-	if err == nil && p.MineWorkers != 0 && d.Par != "" {
-		d, _ = Lookup(d.Par)
-	}
-	return d, err
+	return lookupKind(name, kind)
 }
 
 // FreshMiner constructs the miner a fresh run will use and returns it with
-// its canonical name. The worker knob is already applied: with MineWorkers
-// set and a registered par-* variant, the returned miner is the pool-backed
-// form and the name is the variant's.
+// its canonical name.
 func (p *Pipeline) FreshMiner() (mining.Miner, string, error) {
-	d, err := p.resolve(p.Fresh, "fptree", Fresh)
+	d, err := resolve(p.Fresh, "fptree", Fresh)
 	if err != nil {
 		return nil, "", err
 	}
-	return d.Miner(PoolWorkers(p.MineWorkers)), d.Name, nil
+	return d.Miner(), d.Name, nil
 }
 
-// Recycler packages the pipeline's recycled engine (worker knob applied as
-// in FreshMiner), strategy and compression workers behind the mining.Miner
-// interface (via core.Recycler), for callers that compose with constraint
-// pushing. The returned name is the engine's canonical registry name.
+// Recycler packages the pipeline's recycled engine, strategy and
+// compression workers behind the mining.Miner interface (via core.Recycler),
+// for callers that compose with constraint pushing. The returned name is
+// the engine's canonical registry name.
 func (p *Pipeline) Recycler(fp []mining.Pattern) (mining.Miner, string, error) {
-	d, err := p.resolve(p.Recycled, "rp-fptree", Recycled)
+	d, err := resolve(p.Recycled, DefaultRecycled, Recycled)
 	if err != nil {
 		return nil, "", err
 	}
-	eng := d.Engine(PoolWorkers(p.MineWorkers))
+	eng := d.Engine()
 	return &core.Recycler{FP: fp, Strategy: p.Strategy, Engine: eng, CompressWorkers: p.CompressWorkers}, d.Name, nil
 }
 
@@ -227,11 +206,11 @@ func (p *Pipeline) Mine(ctx context.Context, db *dataset.DB, minCount int, sink 
 	if minCount < 1 {
 		return Run{}, mining.ErrBadMinSupport
 	}
-	d, err := p.resolve(p.Fresh, "fptree", Fresh)
+	d, err := resolve(p.Fresh, "fptree", Fresh)
 	if err != nil {
 		return Run{}, err
 	}
-	m := d.Miner(PoolWorkers(p.MineWorkers))
+	m := d.Miner()
 	out, col := collect(sink)
 	start := time.Now()
 	p.observeStart(PhaseMine, d.Name)
@@ -258,11 +237,11 @@ func (p *Pipeline) MineRecycling(ctx context.Context, db *dataset.DB, fp []minin
 	if minCount < 1 {
 		return Run{}, mining.ErrBadMinSupport
 	}
-	d, err := p.resolve(p.Recycled, "rp-fptree", Recycled)
+	d, err := resolve(p.Recycled, DefaultRecycled, Recycled)
 	if err != nil {
 		return Run{}, err
 	}
-	eng := d.Engine(PoolWorkers(p.MineWorkers))
+	eng := d.Engine()
 	out, col := collect(sink)
 
 	start := time.Now()

@@ -1,8 +1,7 @@
-// Registry completeness tests: every name the registry exports — fresh,
-// recycled, and derived par-* variants — must mine the exact pattern set the
-// Apriori oracle finds, on randomized databases. A registration typo, a
-// broken constructor, or a derived variant that drops patterns fails here by
-// name.
+// Registry completeness tests: every name the registry exports — fresh
+// baselines and recycled engines — must mine the exact pattern set the
+// Apriori oracle finds, on randomized databases. A registration typo or a
+// broken constructor fails here by name.
 package engine_test
 
 import (
@@ -17,7 +16,6 @@ import (
 	"gogreen/internal/dataset"
 	"gogreen/internal/engine"
 	"gogreen/internal/mining"
-	"gogreen/internal/parallel"
 	"gogreen/internal/testutil"
 )
 
@@ -64,10 +62,9 @@ func diff(t *testing.T, label string, got, want []string) {
 
 // TestRegistryCompleteness mines every registered algorithm over randomized
 // seeded databases and demands exact equality with the Apriori oracle.
-// Fresh miners (and par-* fresh variants) run on the raw database; recycled
-// engines (and par-rp-* variants) run through engine.Pipeline, recycling a
-// pattern set the oracle mined at a tighter threshold — the paper's
-// relax-and-recycle direction.
+// Fresh miners run on the raw database; recycled engines run through
+// engine.Pipeline, recycling a pattern set the oracle mined at a tighter
+// threshold — the paper's relax-and-recycle direction.
 func TestRegistryCompleteness(t *testing.T) {
 	for _, cfg := range []struct {
 		seed                    int64
@@ -102,7 +99,7 @@ func TestRegistryCompleteness(t *testing.T) {
 			}
 			switch d.Kind {
 			case engine.Fresh:
-				m, err := engine.NewMiner(name, 2)
+				m, err := engine.NewMiner(name)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -129,8 +126,8 @@ func TestRegistryCompleteness(t *testing.T) {
 }
 
 // TestRegistryInvariants pins the structural contract of the registry: names
-// are unique and resolvable, derived par-* variants point back at their
-// serial base, and the typed constructors reject names of the wrong kind.
+// are unique and resolvable, and the typed constructors reject names of the
+// wrong kind.
 func TestRegistryInvariants(t *testing.T) {
 	names := engine.Names()
 	seen := make(map[string]bool, len(names))
@@ -143,21 +140,9 @@ func TestRegistryInvariants(t *testing.T) {
 		if !ok || d.Name != name {
 			t.Fatalf("Lookup(%q) = %+v, %v", name, d, ok)
 		}
-		if d.Par != "" {
-			p, ok := engine.Lookup(d.Par)
-			if !ok || p.Base != d.Name {
-				t.Errorf("%s: Par %q does not resolve back (base %q)", name, d.Par, p.Base)
-			}
-		}
-		if d.Base != "" {
-			b, ok := engine.Lookup(d.Base)
-			if !ok || b.Par != d.Name {
-				t.Errorf("%s: Base %q does not point forward (par %q)", name, d.Base, b.Par)
-			}
-		}
 		// Kind-mismatched construction must fail; matched must succeed.
-		_, minerErr := engine.NewMiner(name, 0)
-		_, engineErr := engine.NewEngine(name, 0)
+		_, minerErr := engine.NewMiner(name)
+		_, engineErr := engine.NewEngine(name)
 		if d.Kind == engine.Fresh && (minerErr != nil || engineErr == nil) {
 			t.Errorf("%s: fresh constructor errs = (%v, %v)", name, minerErr, engineErr)
 		}
@@ -165,47 +150,20 @@ func TestRegistryInvariants(t *testing.T) {
 			t.Errorf("%s: recycled constructor errs = (%v, %v)", name, minerErr, engineErr)
 		}
 	}
-	// A serial recycled engine has a par-* variant exactly when the worker
-	// pool can drive it (parallel.Engine); rp-naive cannot. rp-fptree
-	// further supports shared-tree task mining, which the wrapper detects
-	// by interface — pin that too so a refactor can't silently lose it.
-	for _, name := range names {
-		d, _ := engine.Lookup(name)
-		if d.Kind != engine.Recycled || d.Base != "" {
-			continue
-		}
-		_, pooled := d.Engine(0).(parallel.Engine)
-		if pooled != (d.Par != "") {
-			t.Errorf("%s: Par=%q but engine implements parallel.Engine=%v", name, d.Par, pooled)
-		}
-	}
-	if d, _ := engine.Lookup("rp-naive"); d.Par != "" {
-		t.Errorf("rp-naive gained a parallel variant %q", d.Par)
-	}
-	for _, name := range []string{"rp-fptree", "par-rp-fptree"} {
-		d, _ := engine.Lookup(name)
-		base := d
-		if d.Base != "" {
-			base, _ = engine.Lookup(d.Base)
-		}
-		if _, ok := base.Engine(0).(parallel.SharedTaskMiner); !ok {
-			t.Errorf("%s: engine lost parallel.SharedTaskMiner; par-rp-fptree falls back to per-task re-projection", name)
-		}
-	}
 	if _, ok := engine.Lookup("no-such-algorithm"); ok {
 		t.Error("Lookup accepted an unknown name")
 	}
-	if _, err := engine.NewMiner("no-such-algorithm", 0); err == nil {
+	if _, err := engine.NewMiner("no-such-algorithm"); err == nil {
 		t.Error("NewMiner accepted an unknown name")
 	}
-	if _, err := engine.NewEngine("no-such-algorithm", 0); err == nil {
+	if _, err := engine.NewEngine("no-such-algorithm"); err == nil {
 		t.Error("NewEngine accepted an unknown name")
 	}
 }
 
 // TestRecycledEngines runs the engine-agnostic suite (Apriori oracle cases,
 // argument checks and cancellation) over every recycled registry entry:
-// rp-naive, the rp-* engines and their par-* variants.
+// rp-naive and the rp-* engines.
 func TestRecycledEngines(t *testing.T) {
 	checks := []struct {
 		name  string
@@ -226,7 +184,7 @@ func TestRecycledEngines(t *testing.T) {
 			continue
 		}
 		for _, c := range checks {
-			t.Run(d.Name+"/"+c.name, func(t *testing.T) { c.check(t, d.Engine(2)) })
+			t.Run(d.Name+"/"+c.name, func(t *testing.T) { c.check(t, d.Engine()) })
 		}
 	}
 }

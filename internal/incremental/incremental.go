@@ -58,8 +58,8 @@ type Option func(*Maintainer)
 func WithStrategy(s core.Strategy) Option { return func(m *Maintainer) { m.pipe.Strategy = s } }
 
 // WithEngine selects the compressed-database miner by canonical registry
-// name, e.g. "rp-hmine" (default "rp-naive"). Unknown names surface from
-// Refresh.
+// name, e.g. "rp-hmine" (default engine.DefaultRecycled, "rp-fptree").
+// Unknown names surface from Refresh.
 func WithEngine(name string) Option { return func(m *Maintainer) { m.pipe.Recycled = name } }
 
 // WithLattice enables the materialized threshold lattice (off by default at
@@ -78,7 +78,7 @@ func WithLattice(on bool) Option {
 
 // New starts a maintainer over a copy of db's tuples.
 func New(db *dataset.DB, opts ...Option) *Maintainer {
-	m := &Maintainer{pipe: engine.Pipeline{Recycled: "rp-naive"}}
+	m := &Maintainer{pipe: engine.Pipeline{Recycled: engine.DefaultRecycled}}
 	m.tx = make([][]dataset.Item, db.Len())
 	copy(m.tx, db.All())
 	for _, o := range opts {

@@ -115,7 +115,6 @@ type Server struct {
 	queueCap    int
 
 	compressWorkers int
-	mineWorkers     int
 
 	// cacheBudget caps the lattice store's resident bytes.
 	cacheBudget int64
@@ -261,13 +260,6 @@ func WithCompressWorkers(n int) Option {
 	}
 }
 
-// WithMineWorkers parallelizes the mining phase of recycled runs (requests
-// naming a saved set; fresh FP-growth has no parallel form) over n worker
-// goroutines (n < 0 means GOMAXPROCS; 0, the default, mines serially). The emitted pattern set and supports are identical to serial
-// mining at any worker count; parallel runs still honor request contexts,
-// deadlines and job cancellation.
-func WithMineWorkers(n int) Option { return func(s *Server) { s.mineWorkers = n } }
-
 // WithRegistry uses an external metrics registry (default: a fresh one).
 func WithRegistry(reg *metrics.Registry) Option { return func(s *Server) { s.reg = reg } }
 
@@ -347,7 +339,6 @@ func Open(opts ...Option) (*Server, error) {
 	s.gov = shard.NewGovernor(s.quotas)
 	s.met = newServerMetrics(s.reg)
 	s.met.compressWorkers.Set(int64(s.compressWorkers))
-	s.met.mineWorkers.Set(int64(effectiveMineWorkers(s.mineWorkers)))
 	s.met.shardCount.Set(1)
 
 	// A shard process (WithShardIndex) mints ids for its ring position; the
@@ -362,7 +353,6 @@ func Open(opts ...Option) (*Server, error) {
 	s.store = lattice.NewStore(s.cacheBudget)
 	s.pipe = engine.Pipeline{
 		CompressWorkers: s.compressWorkers,
-		MineWorkers:     s.mineWorkers,
 		Observer:        s.met,
 	}
 	s.reg.GaugeFunc(fmt.Sprintf("shard.%d.dbs", id), func() int64 { return int64(s.dbCount()) })
@@ -590,18 +580,6 @@ func (s *Server) hydrateLocked(e *entry) error {
 	return nil
 }
 
-// effectiveMineWorkers reports the goroutine count the mining phase will
-// use: serial mining is one worker, n < 0 resolves to GOMAXPROCS.
-func effectiveMineWorkers(n int) int {
-	switch {
-	case n == 0:
-		return 1
-	case n < 0:
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
 // Registry returns the server's metrics registry.
 func (s *Server) Registry() *metrics.Registry { return s.reg }
 
@@ -639,12 +617,9 @@ type serverMetrics struct {
 	// compressWorkers reports the configured shard count of that phase.
 	compressSecs    *metrics.Histogram
 	compressWorkers *metrics.Gauge
-	// mineWorkers reports the effective mining-phase goroutine count
-	// (1 when mining serially).
-	mineWorkers *metrics.Gauge
-	submitted   *metrics.Counter
-	rejected    *metrics.Counter
-	killed      *metrics.Counter
+	submitted       *metrics.Counter
+	rejected        *metrics.Counter
+	killed          *metrics.Counter
 
 	// shardCount reports the engine shard count (1); tenantRejected counts
 	// admission-control 429s (per-resource splits ride under
@@ -672,7 +647,6 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 
 		compressSecs:    reg.Histogram("compress_duration_seconds", metrics.DefaultSecondsBounds),
 		compressWorkers: reg.Gauge("compress_workers"),
-		mineWorkers:     reg.Gauge("mine_workers"),
 		submitted:       reg.Counter("jobs.submitted"),
 		rejected:        reg.Counter("jobs.rejected"),
 		killed:          reg.Counter("jobs.cancelled"),

@@ -48,102 +48,79 @@ func waitUntil(t *testing.T, timeout time.Duration, what string, cond func() boo
 
 // TestMineCancelledOnDisconnect proves a mine aborts promptly mid-recursion
 // when the client goes away: within 100ms of the disconnect the run is off
-// the in-flight gauge and counted as cancelled.
+// the in-flight gauge and counted as cancelled. It covers both mine paths: a
+// fresh FP-growth mine, and a recycle of a named saved set (rp-fptree),
+// which recycles an empty saved set so the engine gets the whole database.
 func TestMineCancelledOnDisconnect(t *testing.T) {
-	srv := server.New()
-	defer srv.Shutdown(context.Background())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	do(t, "PUT", ts.URL+"/db/slow", slowBasket(30, 60))
+	for _, tc := range []struct {
+		name  string
+		save  string // a request mined before the cancelled one, "" for none
+		body  string // the request that is cancelled mid-mine
+		quick string // a completed request on the same path, "" for none
+		algo  string // the algorithm the completed request reports
+	}{
+		{name: "fresh", body: `{"min_count":1}`},
+		{name: "recycle", save: `{"min_count":61,"save_as":"none"}`,
+			body: `{"min_count":1,"use":"none"}`, quick: `{"min_count":61,"use":"none"}`, algo: "rp-fptree"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv := server.New()
+			defer srv.Shutdown(context.Background())
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			do(t, "PUT", ts.URL+"/db/slow", slowBasket(30, 60))
+			if tc.save != "" {
+				if resp, body := do(t, "POST", ts.URL+"/db/slow/mine", tc.save); resp.StatusCode != http.StatusOK {
+					t.Fatalf("save empty set: %d %s", resp.StatusCode, body)
+				}
+			}
 
-	inFlight := srv.Registry().Gauge("mine.in_flight")
-	cancelled := srv.Registry().Counter("mine.requests.cancelled")
+			inFlight := srv.Registry().Gauge("mine.in_flight")
+			cancelled := srv.Registry().Counter("mine.requests.cancelled")
 
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/db/slow/mine",
-			strings.NewReader(`{"min_count":1}`))
-		_, err := http.DefaultClient.Do(req)
-		errc <- err
-	}()
-	waitUntil(t, 5*time.Second, "mine to start", func() bool { return inFlight.Value() == 1 })
+			ctx, cancel := context.WithCancel(context.Background())
+			errc := make(chan error, 1)
+			go func() {
+				req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/db/slow/mine",
+					strings.NewReader(tc.body))
+				_, err := http.DefaultClient.Do(req)
+				errc <- err
+			}()
+			waitUntil(t, 5*time.Second, "mine to start", func() bool { return inFlight.Value() == 1 })
 
-	cancel()
-	took := waitUntil(t, 5*time.Second, "mine to abort", func() bool {
-		return inFlight.Value() == 0 && cancelled.Value() == 1
-	})
-	if took > 100*time.Millisecond {
-		t.Errorf("mine aborted %v after disconnect, want <= 100ms", took)
-	}
-	if err := <-errc; err == nil {
-		t.Error("client request unexpectedly succeeded")
-	}
-}
+			cancel()
+			took := waitUntil(t, 5*time.Second, "mine to abort", func() bool {
+				return inFlight.Value() == 0 && cancelled.Value() == 1
+			})
+			if took > 100*time.Millisecond {
+				t.Errorf("mine aborted %v after disconnect, want <= 100ms", took)
+			}
+			if err := <-errc; err == nil {
+				t.Error("client request unexpectedly succeeded")
+			}
+			if tc.quick == "" {
+				return
+			}
 
-// TestParallelMineCancelledOnDisconnect proves the WithMineWorkers path is
-// reachable from the public surface and that an in-flight parallel mine
-// honors job/request cancellation: the pool stops dispatching and in-flight
-// workers abort within the same bound as the serial path. Only a recycle of
-// a named saved set runs on the pool (fresh FP-growth has no par-* form),
-// so the mines here recycle an empty saved set, which leaves the whole
-// database for the engine.
-func TestParallelMineCancelledOnDisconnect(t *testing.T) {
-	srv := server.New(server.WithMineWorkers(2))
-	defer srv.Shutdown(context.Background())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	do(t, "PUT", ts.URL+"/db/slow", slowBasket(30, 60))
-	if resp, body := do(t, "POST", ts.URL+"/db/slow/mine", `{"min_count":61,"save_as":"none"}`); resp.StatusCode != http.StatusOK {
-		t.Fatalf("save empty set: %d %s", resp.StatusCode, body)
-	}
-
-	inFlight := srv.Registry().Gauge("mine.in_flight")
-	cancelled := srv.Registry().Counter("mine.requests.cancelled")
-
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/db/slow/mine",
-			strings.NewReader(`{"min_count":1,"use":"none"}`))
-		_, err := http.DefaultClient.Do(req)
-		errc <- err
-	}()
-	waitUntil(t, 5*time.Second, "mine to start", func() bool { return inFlight.Value() == 1 })
-
-	cancel()
-	took := waitUntil(t, 5*time.Second, "parallel mine to abort", func() bool {
-		return inFlight.Value() == 0 && cancelled.Value() == 1
-	})
-	if took > 100*time.Millisecond {
-		t.Errorf("parallel mine aborted %v after disconnect, want <= 100ms", took)
-	}
-	if err := <-errc; err == nil {
-		t.Error("client request unexpectedly succeeded")
-	}
-
-	// The configured worker count is visible, and a completed run lands on
-	// the parallel miner's counters — proving the wrapper, not the serial
-	// baseline, served the request.
-	if v := srv.Registry().Gauge("mine_workers").Value(); v != 2 {
-		t.Errorf("mine_workers gauge = %d, want 2", v)
-	}
-	resp, body := do(t, "POST", ts.URL+"/db/slow/mine", `{"min_count":61,"use":"none"}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("quick parallel mine: %d %s", resp.StatusCode, body)
-	}
-	if v := srv.Registry().Counter("mine.algo.par-rp-fptree").Value(); v != 1 {
-		t.Errorf("mine.algo.par-rp-fptree = %d, want 1", v)
-	}
-	// The duration histogram uses the same canonical registry name as the
-	// counter, so the two families always line up per algorithm.
-	_, body = do(t, "GET", ts.URL+"/metrics", "")
-	var snap metrics.Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("metrics JSON: %v\n%s", err, body)
-	}
-	if h := snap.Histograms["mine_duration_seconds.par-rp-fptree"]; h.Count != 1 {
-		t.Errorf("histogram mine_duration_seconds.par-rp-fptree count = %d, want 1", h.Count)
+			// A completed run on the same path lands on the engine's
+			// counter, and the duration histogram uses the same canonical
+			// registry name, so the two families line up per algorithm.
+			resp, body := do(t, "POST", ts.URL+"/db/slow/mine", tc.quick)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("quick mine: %d %s", resp.StatusCode, body)
+			}
+			if v := srv.Registry().Counter("mine.algo." + tc.algo).Value(); v != 1 {
+				t.Errorf("mine.algo.%s = %d, want 1", tc.algo, v)
+			}
+			_, body = do(t, "GET", ts.URL+"/metrics", "")
+			var snap metrics.Snapshot
+			if err := json.Unmarshal(body, &snap); err != nil {
+				t.Fatalf("metrics JSON: %v\n%s", err, body)
+			}
+			if h := snap.Histograms["mine_duration_seconds."+tc.algo]; h.Count != 1 {
+				t.Errorf("histogram mine_duration_seconds.%s count = %d, want 1", tc.algo, h.Count)
+			}
+		})
 	}
 }
 
@@ -407,10 +384,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if v, ok := snap.Gauges["compress_workers"]; !ok || v < 1 {
 		t.Errorf("compress_workers gauge = %d (present=%v), want >= 1", v, ok)
-	}
-	// Serial mining is one effective worker.
-	if v, ok := snap.Gauges["mine_workers"]; !ok || v != 1 {
-		t.Errorf("mine_workers gauge = %d (present=%v), want 1", v, ok)
 	}
 	// Every finished run lands in its algorithm's duration histogram.
 	for name, want := range map[string]int64{

@@ -72,19 +72,13 @@ type Option func(*Session)
 func WithStrategy(s core.Strategy) Option { return func(se *Session) { se.pipe.Strategy = s } }
 
 // WithEngine selects the compressed-database miner by canonical registry
-// name, e.g. "rp-hmine" (default "rp-naive"). Unknown names surface when a
-// round recycles.
+// name, e.g. "rp-hmine" (default engine.DefaultRecycled, "rp-fptree").
+// Unknown names surface when a round recycles.
 func WithEngine(name string) Option { return func(se *Session) { se.pipe.Recycled = name } }
 
 // WithCompressWorkers shards the compression phase of recycled rounds over n
 // workers (default GOMAXPROCS; output is byte-identical at any count).
 func WithCompressWorkers(n int) Option { return func(se *Session) { se.pipe.CompressWorkers = n } }
-
-// WithMineWorkers parallelizes the mining phase of fresh and recycled
-// rounds over n worker goroutines (n < 0 means GOMAXPROCS; 0, the default,
-// mines serially). The emitted pattern set and supports are identical to
-// serial mining; algorithms without a par-* registry variant stay serial.
-func WithMineWorkers(n int) Option { return func(se *Session) { se.pipe.MineWorkers = n } }
 
 // WithLattice enables the materialized threshold lattice (off by default at
 // this surface): support-only rounds are answered from and installed into
@@ -102,7 +96,7 @@ func WithLattice(on bool) Option {
 
 // New starts a session over db.
 func New(db *dataset.DB, opts ...Option) *Session {
-	s := &Session{db: db, pipe: engine.Pipeline{Recycled: "rp-naive"}}
+	s := &Session{db: db, pipe: engine.Pipeline{Recycled: engine.DefaultRecycled}}
 	for _, o := range opts {
 		o(s)
 	}

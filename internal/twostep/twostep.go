@@ -34,7 +34,7 @@ import (
 // Options configures the two-step strategies.
 type Options struct {
 	// Engine names the compressed-database miner by canonical registry
-	// name, e.g. "rp-hmine" (default "rp-naive").
+	// name, e.g. "rp-hmine" (default engine.DefaultRecycled, "rp-fptree").
 	Engine string
 	// Strategy ranks patterns for compression (default MCP, as the paper
 	// proposes).
@@ -63,7 +63,7 @@ func (o Options) factor() int {
 func (o Options) pipeline(db *dataset.DB) engine.Pipeline {
 	name := o.Engine
 	if name == "" {
-		name = "rp-naive"
+		name = engine.DefaultRecycled
 	}
 	p := engine.Pipeline{Recycled: name, Strategy: o.Strategy}
 	if o.Lattice {
