@@ -149,10 +149,6 @@ type MineOptions struct {
 	// Sink, when set, streams patterns instead of collecting them: the sink
 	// receives every pattern and Result.Patterns stays nil.
 	Sink Sink
-	// CompressWorkers shards the compression phase of MineRecycling across
-	// worker goroutines; <= 0 means GOMAXPROCS. Output is byte-identical at
-	// any worker count.
-	CompressWorkers int
 }
 
 // MineOption configures one call of Mine or MineRecycling.
@@ -176,11 +172,6 @@ func WithEngine(a Algorithm) MineOption { return func(o *MineOptions) { o.Engine
 // Result.
 func WithSink(s Sink) MineOption { return func(o *MineOptions) { o.Sink = s } }
 
-// WithCompressWorkers shards the compression phase of MineRecycling over n
-// workers (default GOMAXPROCS). Compression output — and therefore the mined
-// result — is byte-identical at any worker count.
-func WithCompressWorkers(n int) MineOption { return func(o *MineOptions) { o.CompressWorkers = n } }
-
 // resolve applies the options and computes the absolute threshold.
 func resolve(db *DB, opts []MineOption) (MineOptions, int, error) {
 	o := MineOptions{Strategy: MCP}
@@ -197,10 +188,9 @@ func resolve(db *DB, opts []MineOption) (MineOptions, int, error) {
 // pipeline assembles the engine pipeline one facade call runs through.
 func (o MineOptions) pipeline(algo Algorithm) engine.Pipeline {
 	return engine.Pipeline{
-		Fresh:           string(algo),
-		Recycled:        string(o.Engine),
-		Strategy:        o.Strategy,
-		CompressWorkers: o.CompressWorkers,
+		Fresh:    string(algo),
+		Recycled: string(o.Engine),
+		Strategy: o.Strategy,
 	}
 }
 

@@ -9,9 +9,8 @@ import (
 )
 
 // CDBMiner is a frequent-pattern mining algorithm over a compressed
-// database. Implemented by the naive miner in this package, by the H-Mine,
-// FP-tree and Tree Projection adaptations in their own packages, and by
-// the parallel wrapper around those three.
+// database. Implemented by the naive miner in this package and by the
+// H-Mine, FP-tree and Tree Projection adaptations in their own packages.
 type CDBMiner interface {
 	// Name identifies the engine (e.g. "rp-hmine").
 	Name() string
@@ -24,21 +23,17 @@ type CDBMiner interface {
 
 // EncodedMiner is a CDBMiner that can also mine an already rank-encoded
 // (projected) compressed database whose patterns all extend prefix (in
-// rank space). The memory-limited driver mines disk partitions through it,
-// and the parallel wrapper mines one subtree per task.
+// rank space). The memory-limited driver mines disk partitions through it.
 type EncodedMiner interface {
 	CDBMiner
-	// MineEncoded mines blocks and loose at minCount under ctx. scratch is
-	// the engine's reusable working memory (from its NewScratch, owned by
-	// one goroutine at a time; all calls reusing one scratch should pass
-	// the same F-list) or nil for fresh memory. The engine is done with the
-	// caller's projection when the call returns.
-	MineEncoded(ctx context.Context, scratch any, blocks []Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error
+	// MineEncoded mines blocks and loose at minCount under ctx. The engine
+	// is done with the caller's projection when the call returns.
+	MineEncoded(ctx context.Context, blocks []Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error
 }
 
 // MineEncodedCDB is the MineCDB every EncodedMiner shares: it builds the
 // F-list at minCount, rank-encodes cdb and mines the result from the empty
-// prefix with fresh working memory.
+// prefix.
 func MineEncodedCDB(ctx context.Context, e EncodedMiner, cdb *CDB, minCount int, sink mining.Sink) error {
 	if minCount < 1 {
 		return mining.ErrBadMinSupport
@@ -48,7 +43,7 @@ func MineEncodedCDB(ctx context.Context, e EncodedMiner, cdb *CDB, minCount int,
 		return ctx.Err()
 	}
 	blocks, loose := EncodeCDB(cdb, flist)
-	return e.MineEncoded(ctx, nil, blocks, loose, flist, nil, minCount, sink)
+	return e.MineEncoded(ctx, blocks, loose, flist, nil, minCount, sink)
 }
 
 // Cancellable brackets one encoded mine with the checks every engine
@@ -128,10 +123,9 @@ func (n Naive) MineCDB(ctx context.Context, cdb *CDB, minCount int, sink mining.
 	return MineEncodedCDB(ctx, n, cdb, minCount, sink)
 }
 
-// MineEncoded implements EncodedMiner. The naive miner keeps no working
-// memory across calls, so scratch is ignored; the projection recursion
-// checks for cancellation at every node.
-func (n Naive) MineEncoded(ctx context.Context, _ any, blocks []Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
+// MineEncoded implements EncodedMiner; the projection recursion checks for
+// cancellation at every node.
+func (n Naive) MineEncoded(ctx context.Context, blocks []Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	return Cancellable(ctx, minCount, func(cancel *mining.Canceller) {
 		m := &rpCtx{noSingle: n.DisableSingleGroup}
 		m.Reset(flist, minCount, sink, cancel)
@@ -284,12 +278,12 @@ func Project(blocks []Block, loose [][]dataset.Item, r dataset.Item) ([]Block, [
 }
 
 // ProjScratch holds reusable storage for projection results, so hot loops
-// that project once per recursion node (or once per parallel task) stop
-// allocating on the steady path. A scratch's results are valid until its
-// next Project call: the caller owns the buffers and must be done with the
-// previous projection — including everything that aliases it — before
-// reusing the scratch. Item data is never copied; like Project, the
-// returned slices share backing arrays with the input.
+// that project once per recursion node stop allocating on the steady path.
+// A scratch's results are valid until its next Project call: the caller
+// owns the buffers and must be done with the previous projection —
+// including everything that aliases it — before reusing the scratch. Item
+// data is never copied; like Project, the returned slices share backing
+// arrays with the input.
 type ProjScratch struct {
 	blocks []Block
 	loose  [][]dataset.Item

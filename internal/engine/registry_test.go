@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -38,11 +39,14 @@ func randomDB(seed int64, numTx, numItems, maxLen int) *dataset.DB {
 	return dataset.New(tx)
 }
 
-// canon renders a pattern set in a canonical comparable form.
+// canon renders a pattern set in a canonical comparable form, whatever the
+// item order inside each pattern.
 func canon(ps []mining.Pattern) []string {
 	out := make([]string, len(ps))
 	for i, p := range ps {
-		out[i] = fmt.Sprintf("%v:%d", p.Items, p.Support)
+		items := slices.Clone(p.Items)
+		slices.Sort(items)
+		out[i] = fmt.Sprintf("%v:%d", items, p.Support)
 	}
 	sort.Strings(out)
 	return out
@@ -60,21 +64,71 @@ func diff(t *testing.T, label string, got, want []string) {
 	}
 }
 
+// retainSink breaks the mining.Sink copy contract on purpose: it keeps each
+// emitted slice alongside a proper copy, so a test can see both that
+// copying reconstructs the exact pattern set and that the engine reused the
+// slice after Emit returned.
+type retainSink struct {
+	raw    [][]dataset.Item
+	copies []mining.Pattern
+}
+
+func (s *retainSink) Emit(items []dataset.Item, support int) {
+	s.raw = append(s.raw, items)
+	s.copies = append(s.copies, mining.Pattern{
+		Items:   append([]dataset.Item(nil), items...),
+		Support: support,
+	})
+}
+
+// stale counts the retained slices a later emission overwrote.
+func (s *retainSink) stale() int {
+	n := 0
+	for i, raw := range s.raw {
+		if !slices.Equal(raw, s.copies[i].Items) {
+			n++
+		}
+	}
+	return n
+}
+
+// branchDB is a small database with several distinct branch shapes, so no
+// whole-tree shortcut applies and every engine's recursion reuses its
+// buffers across branches.
+func branchDB() *dataset.DB {
+	return dataset.New([][]dataset.Item{
+		{0, 1, 2, 3, 4, 5},
+		{0, 1, 2, 3, 4, 5},
+		{0, 1, 2},
+		{3, 4, 5},
+		{0, 3},
+		{1, 4},
+		{2, 5},
+		{0, 1, 2, 3},
+		{2, 3, 4, 5},
+	})
+}
+
 // TestRegistryCompleteness mines every registered algorithm over randomized
-// seeded databases and demands exact equality with the Apriori oracle.
-// Fresh miners run on the raw database; recycled engines run through
-// engine.Pipeline, recycling a pattern set the oracle mined at a tighter
-// threshold — the paper's relax-and-recycle direction.
+// seeded databases and branchDB and demands exact equality with the Apriori
+// oracle. Fresh miners run on the raw database; recycled engines run
+// through engine.Pipeline, recycling a pattern set the oracle mined at a
+// tighter threshold — the paper's relax-and-recycle direction. Every run
+// streams into a retainSink, which enforces the mining.Sink copy contract:
+// the copies must equal the oracle's set, and every engine that emits
+// through mining.Emitter (all but Apriori, which decodes each pattern into
+// a fresh slice) must leave at least one retained slice stale.
 func TestRegistryCompleteness(t *testing.T) {
 	for _, cfg := range []struct {
-		seed                    int64
-		numTx, numItems, maxLen int
-		min                     int
+		name string
+		db   *dataset.DB
+		min  int
 	}{
-		{seed: 1, numTx: 80, numItems: 25, maxLen: 8, min: 3},
-		{seed: 2, numTx: 60, numItems: 10, maxLen: 9, min: 5},
+		{name: "seed 1", db: randomDB(1, 80, 25, 8), min: 3},
+		{name: "seed 2", db: randomDB(2, 60, 10, 9), min: 5},
+		{name: "branchDB", db: branchDB(), min: 1},
 	} {
-		db := randomDB(cfg.seed, cfg.numTx, cfg.numItems, cfg.maxLen)
+		db := cfg.db
 
 		var oracle mining.Collector
 		if err := apriori.New().Mine(db, cfg.min, &oracle); err != nil {
@@ -82,7 +136,7 @@ func TestRegistryCompleteness(t *testing.T) {
 		}
 		want := canon(oracle.Patterns)
 		if len(want) < 10 {
-			t.Fatalf("seed %d: oracle found only %d patterns; workload too thin to differentiate", cfg.seed, len(want))
+			t.Fatalf("%s: oracle found only %d patterns; workload too thin to differentiate", cfg.name, len(want))
 		}
 
 		// The recycled seed set: the oracle's result at a tighter threshold.
@@ -92,34 +146,36 @@ func TestRegistryCompleteness(t *testing.T) {
 		}
 
 		for _, name := range engine.Names() {
-			label := fmt.Sprintf("seed %d: %s", cfg.seed, name)
+			label := fmt.Sprintf("%s: %s", cfg.name, name)
 			d, ok := engine.Lookup(name)
 			if !ok {
 				t.Fatalf("%s: Names() entry missing from Lookup", label)
 			}
+			var sink retainSink
 			switch d.Kind {
 			case engine.Fresh:
 				m, err := engine.NewMiner(name)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				var col mining.Collector
-				if err := m.Mine(db, cfg.min, &col); err != nil {
+				if err := m.Mine(db, cfg.min, &sink); err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				diff(t, label, canon(col.Patterns), want)
 			case engine.Recycled:
 				p := engine.Pipeline{Recycled: name}
-				run, err := p.MineRecycling(context.Background(), db, seedCol.Patterns, cfg.min, nil)
+				run, err := p.MineRecycling(context.Background(), db, seedCol.Patterns, cfg.min, &sink)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				diff(t, label, canon(run.Patterns), want)
 				if run.Algo != name {
 					t.Errorf("%s: run.Algo = %q", label, run.Algo)
 				}
 			default:
 				t.Fatalf("%s: unknown kind %v", label, d.Kind)
+			}
+			diff(t, label, canon(sink.copies), want)
+			if name != "apriori" && sink.stale() == 0 {
+				t.Errorf("%s: every retained slice still matches its copy; the emitter no longer reuses its decode buffer", label)
 			}
 		}
 	}

@@ -65,57 +65,32 @@ func mineDB(db *dataset.DB, minCount int, sink mining.Sink, cancel *mining.Cance
 	// works through suffix pointers.
 	hs := flist.EncodeDB(db)
 
-	return mineProjected(hs, flist, nil, minCount, sink, cancel, nil)
+	return mineProjected(hs, flist, nil, minCount, sink, cancel)
 }
-
-// Scratch is reusable H-Mine working memory: the level pool, decode buffer,
-// and suffix/prefix scratch a mine builds up. A parallel worker holds one
-// Scratch and threads it through consecutive MineProjected calls, so
-// steady-state task dispatch costs (near) zero allocations. A Scratch is
-// owned by one goroutine at a time and must not be shared concurrently.
-type Scratch struct {
-	m ctx
-}
-
-// NewScratch returns an empty Scratch ready for MineProjected.
-func NewScratch() *Scratch { return &Scratch{} }
 
 // MineProjected mines an already rank-encoded (projected) database whose
-// patterns all extend prefix (in rank space), through sc's recycled buffers
-// (nil means fresh memory). Calls reusing one Scratch keep its pooled,
-// width-sized header tables while the F-list width does not grow; a wider
-// F-list resets the pool. The recursion aborts promptly when ctx is
-// cancelled or times out, returning the context's error. Used by the
-// memory-limited driver for disk partitions and by the parallel miner for
-// its subtrees.
-func MineProjected(c context.Context, sc *Scratch, tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
+// patterns all extend prefix (in rank space). The recursion aborts promptly
+// when ctx is cancelled or times out, returning the context's error. Used
+// by the memory-limited driver for disk partitions.
+func MineProjected(c context.Context, tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	cancel := mining.NewCanceller(c, 0)
 	if err := cancel.Err(); err != nil {
 		return err
 	}
-	return mineProjected(tx, flist, prefix, minCount, sink, cancel, sc)
+	return mineProjected(tx, flist, prefix, minCount, sink, cancel)
 }
 
-func mineProjected(tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink, cancel *mining.Canceller, sc *Scratch) error {
+func mineProjected(tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink, cancel *mining.Canceller) error {
 	if minCount < 1 {
 		return mining.ErrBadMinSupport
 	}
-	if sc == nil {
-		sc = &Scratch{}
-	}
-	m := &sc.m
-	if m.Reset(flist, minCount, sink, cancel) {
-		m.pool = nil // pooled levels are width-sized
-	}
-	all := m.sufs[:0]
+	m := &ctx{hs: tx}
+	m.Reset(flist, minCount, sink, cancel)
+	all := make([]suffix, len(tx))
 	for i := range tx {
-		all = append(all, suffix{tx: int32(i), pos: 0})
+		all[i] = suffix{tx: int32(i), pos: 0}
 	}
-	m.sufs = all
-	m.hs = tx
 	m.mine(all, m.Prefix(prefix))
-	m.hs = nil // do not retain the caller's projection past the call
-	m.Release()
 	return cancel.Err()
 }
 
@@ -124,7 +99,6 @@ type ctx struct {
 	hs   [][]dataset.Item // rank-encoded transactions
 	pool []*level         // free per-recursion header tables
 	subs [][]suffix       // free per-recursion projection suffix slices
-	sufs []suffix         // root suffix scratch, reused across calls
 }
 
 func (m *ctx) getSufs() []suffix {

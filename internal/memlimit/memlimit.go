@@ -168,7 +168,7 @@ func (d *driver) partPath() string {
 // mineCDB handles one (projected) compressed database.
 func (d *driver) mineCDB(blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	if EstimateCDBBytes(blocks, loose) <= d.cfg.Budget {
-		return d.cfg.Engine.MineEncoded(context.TODO(), nil, blocks, loose, flist, prefix, minCount, sink)
+		return d.cfg.Engine.MineEncoded(context.TODO(), blocks, loose, flist, prefix, minCount, sink)
 	}
 
 	// Over budget: parallel-project to disk, one partition per frequent
@@ -287,7 +287,7 @@ func (d *driver) mineCDB(blocks []core.Block, loose [][]dataset.Item, flist *min
 // mineDB handles one (projected) uncompressed database.
 func (d *driver) mineDB(tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	if EstimateTxBytes(tx) <= d.cfg.Budget {
-		return hmine.MineProjected(context.TODO(), nil, tx, flist, prefix, minCount, sink)
+		return hmine.MineProjected(context.TODO(), tx, flist, prefix, minCount, sink)
 	}
 	counts := make(map[dataset.Item]int)
 	for _, t := range tx {

@@ -63,9 +63,9 @@ type countingEngine struct {
 	calls int
 }
 
-func (c *countingEngine) MineEncoded(ctx context.Context, sc any, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
+func (c *countingEngine) MineEncoded(ctx context.Context, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	c.calls++
-	return c.EncodedMiner.MineEncoded(ctx, sc, blocks, loose, flist, prefix, minCount, sink)
+	return c.EncodedMiner.MineEncoded(ctx, blocks, loose, flist, prefix, minCount, sink)
 }
 
 // TestPartitionsMinedWithConfiguredEngine: the engine a run names mines

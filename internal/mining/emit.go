@@ -6,15 +6,13 @@ import "gogreen/internal/dataset"
 // embeds: it decodes rank-space patterns through the F-list into the sink,
 // runs the two subset enumerations that finish a recursion early (Lemma 3.1
 // over one group, and FP-growth's single path), and owns the decode,
-// prefix and enumeration buffers those need, so a miner's scratch reuses
-// them across calls.
+// prefix and enumeration buffers those need.
 type Emitter struct {
 	FList  *FList
 	Min    int
 	Sink   Sink
 	Cancel *Canceller // nil when mining without a context
 
-	width   int            // FList.Len() of the previous Reset
 	decoded []dataset.Item // item-space copy of the pattern being emitted
 	prefix  []dataset.Item // root prefix, extended in place by the recursion
 	enum    []dataset.Item // pattern under enumeration
@@ -22,11 +20,9 @@ type Emitter struct {
 }
 
 // Reset binds the emitter to one mine, keeping its buffers when they fit
-// the F-list's width. It reports whether the width grew past the previous
-// call's, in which case the caller drops its own width-sized pools.
-func (e *Emitter) Reset(flist *FList, minCount int, sink Sink, cancel *Canceller) (grew bool) {
+// the F-list's width.
+func (e *Emitter) Reset(flist *FList, minCount int, sink Sink, cancel *Canceller) {
 	n := flist.Len()
-	grew = n > e.width
 	if cap(e.decoded) < n {
 		e.decoded = make([]dataset.Item, n)
 	}
@@ -34,14 +30,8 @@ func (e *Emitter) Reset(flist *FList, minCount int, sink Sink, cancel *Canceller
 	if cap(e.prefix) < n+1 {
 		e.prefix = make([]dataset.Item, 0, n+1)
 	}
-	e.width = n
 	e.FList, e.Min, e.Sink, e.Cancel = flist, minCount, sink, cancel
-	return grew
 }
-
-// Release drops the per-call sink and canceller, so a scratch kept for the
-// next call does not retain them.
-func (e *Emitter) Release() { e.Sink, e.Cancel = nil, nil }
 
 // Prefix copies base into the emitter's prefix buffer, which has room for
 // every rank of the F-list, so the recursion can extend it in place.

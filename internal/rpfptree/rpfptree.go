@@ -126,29 +126,23 @@ type pathEntry struct {
 	count int
 }
 
-// buildByItem materializes the group-by-item index. PrepareShared calls it
-// eagerly so concurrent task mining never mutates the shared tree.
-func (tr *tree) buildByItem() {
-	if tr.byBuilt {
-		return
-	}
-	if len(tr.byItem) < tr.nItems {
-		tr.byItem = make([][]int32, tr.nItems)
-	}
-	for i := range tr.byItem[:tr.nItems] {
-		tr.byItem[i] = tr.byItem[i][:0]
-	}
-	for gi, pat := range tr.groups {
-		for _, p := range pat {
-			tr.byItem[p] = append(tr.byItem[p], int32(gi))
-		}
-	}
-	tr.byBuilt = true
-}
-
-// groupsWith returns the indices of groups whose pattern contains it.
+// groupsWith returns the indices of groups whose pattern contains it,
+// building the group-by-item index on first use.
 func (tr *tree) groupsWith(it dataset.Item) []int32 {
-	tr.buildByItem()
+	if !tr.byBuilt {
+		if len(tr.byItem) < tr.nItems {
+			tr.byItem = make([][]int32, tr.nItems)
+		}
+		for i := range tr.byItem[:tr.nItems] {
+			tr.byItem[i] = tr.byItem[i][:0]
+		}
+		for gi, pat := range tr.groups {
+			for _, p := range pat {
+				tr.byItem[p] = append(tr.byItem[p], int32(gi))
+			}
+		}
+		tr.byBuilt = true
+	}
 	return tr.byItem[it]
 }
 
@@ -274,20 +268,15 @@ func (e Miner) MineCDB(c context.Context, cdb *core.CDB, minCount int, sink mini
 	return core.MineEncodedCDB(c, e, cdb, minCount, sink)
 }
 
-// NewScratch returns the engine's reusable working memory (node arena,
-// tree pool, counting and prefix buffers) for MineEncoded and
-// MineSharedTask.
-func (Miner) NewScratch() any { return &ctx{} }
-
 // MineEncoded implements core.EncodedMiner: the projected blocks become a
 // compressed conditional tree.
-func (Miner) MineEncoded(c context.Context, sc any, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	m, _ := sc.(*ctx)
-	if m == nil {
-		m = &ctx{}
-	}
+func (Miner) MineEncoded(c context.Context, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	return core.Cancellable(c, minCount, func(cancel *mining.Canceller) {
-		mineEncodedInto(m, blocks, loose, flist, prefix, minCount, sink, cancel)
+		m := &ctx{condCounts: make([]int, flist.Len())}
+		m.Reset(flist, minCount, sink, cancel)
+		tr := m.getTree()
+		buildTree(tr, blocks, loose)
+		m.growth(tr, m.Prefix(prefix))
 	})
 }
 
@@ -309,82 +298,6 @@ func buildTree(tr *tree, blocks []core.Block, loose [][]dataset.Item) {
 	}
 }
 
-func mineEncodedInto(m *ctx, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink, cancel *mining.Canceller) {
-	m.reset(flist, minCount, sink, cancel)
-	mk := m.arena.mark()
-	tr := m.getTree()
-	buildTree(tr, blocks, loose)
-	m.growth(tr, m.Prefix(prefix))
-	m.putTree(tr)
-	m.arena.release(mk)
-	m.Release()
-}
-
-// sharedTree is the fan-out state PrepareShared hands to concurrent
-// MineSharedTask calls: one fully built compressed tree with its lazy
-// indexes materialized, so task mining is strictly read-only on it.
-type sharedTree struct {
-	tr    *tree
-	arena nodeArena
-	flist *mining.FList
-	min   int
-}
-
-// PrepareShared builds the root compressed tree ONCE and returns the
-// top-level frequent items as independent tasks: MineSharedTask(task) mines
-// exactly the subtree growth would mine for that item, against the shared
-// tree. This is what makes parallel Recycle-FP worthwhile — per-task
-// re-projection and tree rebuilding destroyed the prefix sharing the serial
-// miner gets for free. A nil shared value means a whole-tree shortcut
-// (lone group / single path) applies and the caller should mine the
-// projection as one serial task instead.
-func (Miner) PrepareShared(blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, minCount int) (any, []dataset.Item) {
-	if minCount < 1 || flist.Len() == 0 {
-		return nil, nil
-	}
-	st := &sharedTree{flist: flist, min: minCount}
-	n := flist.Len()
-	tr := &tree{heads: make([]*node, n), counts: make([]int, n), nItems: n, arena: &st.arena}
-	tr.root = st.arena.get(-1, -1, nil)
-	buildTree(tr, blocks, loose)
-	st.tr = tr
-	if g, _ := tr.loneGroup(); g >= 0 {
-		return nil, nil
-	}
-	if _, _, ok := tr.singleRealPath(nil, nil); ok {
-		return nil, nil
-	}
-	// Materialize the lazy indexes: concurrent tasks must never write the
-	// shared tree.
-	tr.buildByItem()
-	for gi := range tr.groups {
-		tr.paths(int32(gi))
-	}
-	var tasks []dataset.Item
-	for r := 0; r < n; r++ {
-		if tr.counts[r] >= minCount {
-			tasks = append(tasks, dataset.Item(r))
-		}
-	}
-	return st, tasks
-}
-
-// MineSharedTask mines one PrepareShared task (a top-level frequent item)
-// against the shared tree, through sc's recycled buffers. prefix is the
-// rank-space pattern the whole shared projection extends (nil at the root).
-// Safe to call concurrently with other scratches against one shared tree.
-func (Miner) MineSharedTask(c context.Context, sc, shared any, task dataset.Item, prefix []dataset.Item, sink mining.Sink) error {
-	st := shared.(*sharedTree)
-	m := sc.(*ctx)
-	return core.Cancellable(c, st.min, func(cancel *mining.Canceller) {
-		m.reset(st.flist, st.min, sink, cancel)
-		mk := m.arena.mark()
-		m.mineItem(st.tr, task, append(m.Prefix(prefix), 0))
-		m.arena.release(mk)
-		m.Release()
-	})
-}
-
 type ctx struct {
 	mining.Emitter
 
@@ -401,19 +314,6 @@ type ctx struct {
 	giMap      []int32
 	spItems    []dataset.Item // singleRealPath scratch
 	spCounts   []int
-}
-
-// reset binds the emitter and sizes the width-sized scratch: pooled trees
-// survive while the F-list width does not grow.
-func (m *ctx) reset(flist *mining.FList, minCount int, sink mining.Sink, cancel *mining.Canceller) {
-	if m.Reset(flist, minCount, sink, cancel) {
-		m.trees = nil // pooled trees are width-sized
-	}
-	if n := flist.Len(); cap(m.condCounts) < n {
-		m.condCounts = make([]int, n)
-	} else {
-		m.condCounts = m.condCounts[:n]
-	}
 }
 
 // getTree returns a cleared tree whose nodes draw from the ctx arena. The

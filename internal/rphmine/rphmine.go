@@ -89,55 +89,39 @@ func (e Miner) MineCDB(c context.Context, cdb *core.CDB, minCount int, sink mini
 	return core.MineEncodedCDB(c, e, cdb, minCount, sink)
 }
 
-// NewScratch returns the engine's reusable working memory (arena, level
-// pool, decode and prefix buffers) for MineEncoded.
-func (Miner) NewScratch() any { return &ctx{} }
-
 // MineEncoded implements core.EncodedMiner.
-func (Miner) MineEncoded(c context.Context, sc any, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	m, _ := sc.(*ctx)
-	if m == nil {
-		m = &ctx{}
-	}
+func (Miner) MineEncoded(c context.Context, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	return core.Cancellable(c, minCount, func(cancel *mining.Canceller) {
-		mineEncodedInto(m, blocks, loose, flist, prefix, minCount, sink, cancel)
-	})
-}
-
-func mineEncodedInto(m *ctx, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink, cancel *mining.Canceller) {
-	if m.Reset(flist, minCount, sink, cancel) {
-		m.pool = nil // pooled levels are width-sized
-	}
-	m.arena = m.arena[:0]
-	// Build the RP-Struct arena: one copy of every suffix, tail, and loose
-	// tuple.
-	root := m.getLevel()
-	put := func(items []dataset.Item) span {
-		off := int32(len(m.arena))
-		m.arena = append(m.arena, items...)
-		return span{off, int32(len(m.arena))}
-	}
-	for _, b := range blocks {
-		g := wg{suffix: put(b.Suffix), count: int32(b.Count), tOff: int32(len(root.spans)), mark: -1}
-		for _, tail := range b.Tails {
-			root.spans = append(root.spans, put(tail))
+		m := &ctx{}
+		m.Reset(flist, minCount, sink, cancel)
+		// Build the RP-Struct arena: one copy of every suffix, tail, and
+		// loose tuple.
+		root := m.getLevel()
+		put := func(items []dataset.Item) span {
+			off := int32(len(m.arena))
+			m.arena = append(m.arena, items...)
+			return span{off, int32(len(m.arena))}
 		}
-		g.tNum = int32(len(root.spans)) - g.tOff
-		root.wgs = append(root.wgs, g)
-	}
-	for _, t := range loose {
-		root.loose = append(root.loose, put(t))
-	}
-	m.mine(root, m.Prefix(prefix))
-	m.putLevel(root)
-	m.Release()
+		for _, b := range blocks {
+			g := wg{suffix: put(b.Suffix), count: int32(b.Count), tOff: int32(len(root.spans)), mark: -1}
+			for _, tail := range b.Tails {
+				root.spans = append(root.spans, put(tail))
+			}
+			g.tNum = int32(len(root.spans)) - g.tOff
+			root.wgs = append(root.wgs, g)
+		}
+		for _, t := range loose {
+			root.loose = append(root.loose, put(t))
+		}
+		m.mine(root, m.Prefix(prefix))
+	})
 }
 
 type ctx struct {
 	mining.Emitter
 	arena []dataset.Item
 	pool  []*level
-	freq  []dataset.Item // frequentItems scratch, reused across calls
+	freq  []dataset.Item // frequentItems buffer, shared by every recursion node
 }
 
 func (m *ctx) getLevel() *level {

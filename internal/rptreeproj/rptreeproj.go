@@ -33,23 +33,12 @@ func (e Miner) MineCDB(c context.Context, cdb *core.CDB, minCount int, sink mini
 	return core.MineEncodedCDB(c, e, cdb, minCount, sink)
 }
 
-// NewScratch returns the engine's reusable working memory (per-depth
-// counting tables, projection slabs, decode and prefix buffers) for
-// MineEncoded.
-func (Miner) NewScratch() any { return &ctx{} }
-
 // MineEncoded implements core.EncodedMiner.
-func (Miner) MineEncoded(c context.Context, sc any, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	m, _ := sc.(*ctx)
-	if m == nil {
-		m = &ctx{}
-	}
+func (Miner) MineEncoded(c context.Context, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
 	return core.Cancellable(c, minCount, func(cancel *mining.Canceller) {
-		if m.Reset(flist, minCount, sink, cancel) {
-			m.pool = nil // pooled levels are width-sized
-		}
+		m := &ctx{}
+		m.Reset(flist, minCount, sink, cancel)
 		m.node(blocks, loose, m.Prefix(prefix))
-		m.Release()
 	})
 }
 

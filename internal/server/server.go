@@ -114,8 +114,6 @@ type Server struct {
 	workers     int
 	queueCap    int
 
-	compressWorkers int
-
 	// cacheBudget caps the lattice store's resident bytes.
 	cacheBudget int64
 
@@ -249,17 +247,6 @@ func WithShardIndex(i int) Option {
 // header before any shard does work.
 func WithQuotas(q shard.Quotas) Option { return func(s *Server) { s.quotas = q } }
 
-// WithCompressWorkers sets the worker count of the sharded compression step
-// on the recycled mine path (default: GOMAXPROCS). Output is byte-identical
-// at any worker count. Non-positive values keep the default.
-func WithCompressWorkers(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.compressWorkers = n
-		}
-	}
-}
-
 // WithRegistry uses an external metrics registry (default: a fresh one).
 func WithRegistry(reg *metrics.Registry) Option { return func(s *Server) { s.reg = reg } }
 
@@ -326,7 +313,6 @@ func Open(opts ...Option) (*Server, error) {
 		workers:          runtime.NumCPU(),
 		queueCap:         64,
 		shardIndex:       -1,
-		compressWorkers:  runtime.GOMAXPROCS(0),
 		cacheBudget:      engine.DefaultCacheBudget,
 		snapshotInterval: time.Minute,
 	}
@@ -338,7 +324,6 @@ func Open(opts ...Option) (*Server, error) {
 	}
 	s.gov = shard.NewGovernor(s.quotas)
 	s.met = newServerMetrics(s.reg)
-	s.met.compressWorkers.Set(int64(s.compressWorkers))
 	s.met.shardCount.Set(1)
 
 	// A shard process (WithShardIndex) mints ids for its ring position; the
@@ -351,10 +336,7 @@ func Open(opts ...Option) (*Server, error) {
 	s.dbs = map[string]*entry{}
 	s.jobs = jobs.New(prefix, s.workers, s.queueCap)
 	s.store = lattice.NewStore(s.cacheBudget)
-	s.pipe = engine.Pipeline{
-		CompressWorkers: s.compressWorkers,
-		Observer:        s.met,
-	}
+	s.pipe = engine.Pipeline{Observer: s.met}
 	s.reg.GaugeFunc(fmt.Sprintf("shard.%d.dbs", id), func() int64 { return int64(s.dbCount()) })
 	s.reg.GaugeFunc(fmt.Sprintf("shard.%d.queue_depth", id), func() int64 { return int64(s.jobs.Depth()) })
 	s.reg.GaugeFunc("jobs.queue_depth", func() int64 { return int64(s.jobs.Depth()) })
@@ -534,7 +516,7 @@ func (s *Server) spillIfCold(e *entry, cutoff time.Time) {
 
 // hydrateLocked loads a cold stub's content back from the segment store;
 // caller holds e.mu. It is a no-op for resident entries and an error for
-// deleted ones. Saved sets keep their stub structs (and their
+// deleted ones and for a new id whose first upload is still in flight. Saved sets keep their stub structs (and their
 // already-accounted quota bytes — the stub estimate and the loaded estimate
 // share one formula); the persisted lattice ladder is re-installed into the
 // memory lattice store under the fresh *dataset.DB identity.
@@ -544,7 +526,11 @@ func (s *Server) hydrateLocked(e *entry) error {
 	}
 	if e.resident || s.disk == nil {
 		// Without a disk there is nothing to hydrate from — and nothing can
-		// have been spilled.
+		// have been spilled. An entry without content here is a new id
+		// whose first PUT has not filled it in yet.
+		if e.db == nil {
+			return fmt.Errorf("no database %q", e.id)
+		}
 		return nil
 	}
 	db, err := s.disk.LoadDB(e.id)
@@ -613,13 +599,11 @@ type serverMetrics struct {
 	ratio     *metrics.Histogram
 	inFlight  *metrics.Gauge
 
-	// compressSecs times phase one (compression) of recycled mines;
-	// compressWorkers reports the configured shard count of that phase.
-	compressSecs    *metrics.Histogram
-	compressWorkers *metrics.Gauge
-	submitted       *metrics.Counter
-	rejected        *metrics.Counter
-	killed          *metrics.Counter
+	// compressSecs times phase one (compression) of recycled mines.
+	compressSecs *metrics.Histogram
+	submitted    *metrics.Counter
+	rejected     *metrics.Counter
+	killed       *metrics.Counter
 
 	// shardCount reports the engine shard count (1); tenantRejected counts
 	// admission-control 429s (per-resource splits ride under
@@ -645,11 +629,10 @@ func newServerMetrics(reg *metrics.Registry) *serverMetrics {
 		ratio:     reg.Histogram("mine.compression_ratio", metrics.DefaultRatioBounds),
 		inFlight:  reg.Gauge("mine.in_flight"),
 
-		compressSecs:    reg.Histogram("compress_duration_seconds", metrics.DefaultSecondsBounds),
-		compressWorkers: reg.Gauge("compress_workers"),
-		submitted:       reg.Counter("jobs.submitted"),
-		rejected:        reg.Counter("jobs.rejected"),
-		killed:          reg.Counter("jobs.cancelled"),
+		compressSecs: reg.Histogram("compress_duration_seconds", metrics.DefaultSecondsBounds),
+		submitted:    reg.Counter("jobs.submitted"),
+		rejected:     reg.Counter("jobs.rejected"),
+		killed:       reg.Counter("jobs.cancelled"),
 
 		shardCount:     reg.Gauge("shard_count"),
 		tenantRejected: reg.Counter("tenant_rejected_total"),

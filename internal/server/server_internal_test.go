@@ -131,6 +131,19 @@ func TestDeleteMidMineRefundsExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestMineBeforeFirstUpload: a PUT of a new id publishes its entry before
+// filling it in, so a mine that finds the entry first gets "no database"
+// instead of mining a nil database.
+func TestMineBeforeFirstUpload(t *testing.T) {
+	s := New()
+	defer s.Shutdown(context.Background())
+	e := &entry{id: "d", sets: map[string]*savedSet{}}
+	s.dbs["d"] = e
+	if _, err := s.mine(context.Background(), e, MineRequest{}, 2); err == nil || !strings.Contains(err.Error(), "no database") {
+		t.Fatalf("mine before the first upload: err = %v, want no database", err)
+	}
+}
+
 // TestQuotaZeroAfterConcurrentChurn hammers saving mines against concurrent
 // deletes and re-uploads from multiple goroutines, then deletes everything:
 // whatever interleavings happened, every tenant's accounted usage must return

@@ -382,9 +382,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	if h := snap.Histograms["compress_duration_seconds"]; h.Count != 1 {
 		t.Errorf("compress duration histogram count = %d, want 1", h.Count)
 	}
-	if v, ok := snap.Gauges["compress_workers"]; !ok || v < 1 {
-		t.Errorf("compress_workers gauge = %d (present=%v), want >= 1", v, ok)
-	}
 	// Every finished run lands in its algorithm's duration histogram.
 	for name, want := range map[string]int64{
 		"mine_duration_seconds.fptree":    2,

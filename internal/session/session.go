@@ -76,10 +76,6 @@ func WithStrategy(s core.Strategy) Option { return func(se *Session) { se.pipe.S
 // Unknown names surface when a round recycles.
 func WithEngine(name string) Option { return func(se *Session) { se.pipe.Recycled = name } }
 
-// WithCompressWorkers shards the compression phase of recycled rounds over n
-// workers (default GOMAXPROCS; output is byte-identical at any count).
-func WithCompressWorkers(n int) Option { return func(se *Session) { se.pipe.CompressWorkers = n } }
-
 // WithLattice enables the materialized threshold lattice (off by default at
 // this surface): support-only rounds are answered from and installed into
 // the process-wide shared pattern cache keyed by the session's database, so

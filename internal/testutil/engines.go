@@ -12,8 +12,7 @@ import (
 )
 
 // recycler wraps eng in the two-phase scheme over fp. The Engine* checks
-// below are the Apriori oracle cases every recycling engine, serial or
-// parallel, must pass.
+// below are the Apriori oracle cases every recycling engine must pass.
 func recycler(fp []mining.Pattern, strat core.Strategy, eng core.CDBMiner) *core.Recycler {
 	return &core.Recycler{FP: fp, Strategy: strat, Engine: eng}
 }
