@@ -5,9 +5,9 @@
 // serial scan, the indexed serial engine, and the sharded parallel engine —
 // on dense Connect-4-style workloads, reporting ns/op, allocs/op, the
 // compression ratio, and the speedup against the serial scan. The mine
-// experiment measures the mining phase: fresh H-Mine, then rp-hmine,
-// rp-fptree and rp-treeproj over the precompressed database, reporting each
-// row's speedup against fresh H-Mine. The service's end-to-end benchmark is
+// experiment measures the mining phase: fresh H-Mine, FP-tree and Tree
+// Projection, then rp-hmine, rp-fptree and rp-treeproj over the
+// precompressed database, reporting each row's speedup against fresh H-Mine. The service's end-to-end benchmark is
 // perfbench/ (see perfbench/README.md).
 //
 // Every experiment runs once per point of a GOMAXPROCS grid (default

@@ -17,9 +17,9 @@
 //		gogreen.WithMinSupport(0.01), gogreen.WithEngine(gogreen.RecycleHMine))
 //
 // Both entry points honor context cancellation and deadlines. HMine,
-// FPGrowth and every recycling engine check the context mid-recursion, so a
-// long mine can be aborted from another goroutine; Apriori, TreeProj and
-// Eclat check it only when the call starts and returns.
+// FPGrowth, TreeProj and every recycling engine check the context
+// mid-recursion, so a long mine can be aborted from another goroutine;
+// Apriori and Eclat check it only when the call starts and returns.
 //
 // The sub-systems (constraint framework, memory-limited mining, pattern
 // persistence, interactive sessions, synthetic dataset generators) are
@@ -195,8 +195,8 @@ func (o MineOptions) pipeline(algo Algorithm) engine.Pipeline {
 }
 
 // Mine runs a baseline algorithm under ctx and returns the round's Result.
-// For HMine and FPGrowth, cancellation and deadlines abort the recursion
-// cooperatively within microseconds; Apriori, TreeProj and Eclat check ctx
+// For HMine, FPGrowth and TreeProj, cancellation and deadlines abort the
+// recursion cooperatively within microseconds; Apriori and Eclat check ctx
 // only before and after mining.
 func Mine(ctx context.Context, db *DB, algo Algorithm, opts ...MineOption) (Result, error) {
 	o, min, err := resolve(db, opts)
@@ -215,13 +215,6 @@ func Mine(ctx context.Context, db *DB, algo Algorithm, opts ...MineOption) (Resu
 // highest-utility recycled patterns.
 func Compress(db *DB, recycled []Pattern, strat Strategy) *CDB {
 	return core.Compress(db, recycled, strat)
-}
-
-// CompressParallel is Compress sharded over worker goroutines (<= 0 means
-// GOMAXPROCS) with cooperative cancellation; its output is byte-identical to
-// Compress at any worker count.
-func CompressParallel(ctx context.Context, db *DB, recycled []Pattern, strat Strategy, workers int) (*CDB, error) {
-	return core.CompressParallel(ctx, db, recycled, strat, workers)
 }
 
 // MineRecycling runs the full two-phase scheme under ctx: compress db with

@@ -8,18 +8,15 @@ import (
 	"context"
 	"testing"
 
-	"gogreen/internal/apriori"
 	"gogreen/internal/bench"
 	"gogreen/internal/core"
-	"gogreen/internal/eclat"
-	"gogreen/internal/fptree"
+	"gogreen/internal/engine"
 	"gogreen/internal/hmine"
 	"gogreen/internal/memlimit"
 	"gogreen/internal/mining"
 	"gogreen/internal/rpfptree"
 	"gogreen/internal/rphmine"
 	"gogreen/internal/rptreeproj"
-	"gogreen/internal/treeproj"
 )
 
 const integScale = 0.0001 // minimum-size presets (~200 tuples each)
@@ -35,6 +32,16 @@ func mineSet(t *testing.T, name string, mine func(sink mining.Sink) error) minin
 		t.Fatalf("%s: %v", name, err)
 	}
 	return s
+}
+
+// freshMiner builds the registry's fresh miner of that name.
+func freshMiner(t testing.TB, name string) mining.Miner {
+	t.Helper()
+	m, err := engine.NewMiner(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
 }
 
 func TestAllMinersAgreeOnPresets(t *testing.T) {
@@ -56,14 +63,8 @@ func TestAllMinersAgreeOnPresets(t *testing.T) {
 					return hmine.New().Mine(db, min, s)
 				})
 
-				baselines := map[string]mining.Miner{
-					"apriori":  apriori.New(),
-					"fptree":   fptree.New(),
-					"treeproj": treeproj.New(),
-					"eclat":    eclat.New(),
-				}
-				for name, m := range baselines {
-					got := mineSet(t, name, func(s mining.Sink) error { return m.Mine(db, min, s) })
+				for _, name := range []string{"apriori", "fptree", "treeproj", "eclat"} {
+					got := mineSet(t, name, func(s mining.Sink) error { return freshMiner(t, name).Mine(db, min, s) })
 					if !got.Equal(ref) {
 						t.Fatalf("%s@%g: %s disagrees with hmine: %v",
 							spec.Name, xi, name, got.Diff(ref, 8))
@@ -113,7 +114,7 @@ func TestRecycledPatternsMatchXiOldMining(t *testing.T) {
 		db := bench.Dataset(&spec, integScale)
 		fp := bench.RecycledPatterns(&spec, integScale)
 		min := mining.MinCount(db.Len(), spec.XiOld)
-		ref := mineSet(t, "fptree", func(s mining.Sink) error { return fptree.New().Mine(db, min, s) })
+		ref := mineSet(t, "fptree", func(s mining.Sink) error { return freshMiner(t, "fptree").Mine(db, min, s) })
 		got := mining.PatternSet{}
 		for _, p := range fp {
 			got[p.Key()] = p

@@ -193,7 +193,7 @@ func runMemFigure(cfg Config, w io.Writer, spec *DatasetSpec) error {
 
 	// Budgets scale with the data so the disk path actually triggers at
 	// bench scales: the paper's 4/8 MB assume paper-sized datasets.
-	full := memlimit.EstimateTxBytes(flatten(db))
+	full := memlimit.EstimateCDBBytes(nil, db.All())
 	budgets := []int64{4 << 20, 8 << 20}
 	if full <= budgets[0] {
 		budgets = []int64{full / 4, full / 2}
@@ -229,8 +229,6 @@ func runMemFigure(cfg Config, w io.Writer, spec *DatasetSpec) error {
 	}
 	return tw.Flush()
 }
-
-func flatten(db *dataset.DB) [][]dataset.Item { return db.All() }
 
 // registryMiner and registryEngine resolve canonical names through the
 // engine registry; an unknown name is a bench bug, not an input error.

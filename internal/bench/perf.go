@@ -221,10 +221,11 @@ func CompressPerf(cfg Config, quick bool) (PerfReport, error) {
 }
 
 // MinePerf benchmarks the mining phase on the Connect-4 preset at one ξ_new
-// below its ξ_old: fresh H-Mine, then each recycled H-Mine, FP-tree and Tree
-// Projection engine over the precompressed database. Compression is
-// excluded (it has its own report); every row's SpeedupVsSerial is measured
-// against fresh H-Mine (the recycling advantage).
+// below its ξ_old: fresh H-Mine, FP-tree (the served engine) and Tree
+// Projection, then each recycled H-Mine, FP-tree and Tree Projection engine
+// over the precompressed database. Compression is excluded (it has its own
+// report); every row's SpeedupVsSerial is measured against fresh H-Mine
+// (the recycling advantage).
 func MinePerf(cfg Config, quick bool) (PerfReport, error) {
 	rep := newReport("mine", cfg, quick)
 	scale := cfg.Scale
@@ -245,7 +246,7 @@ func MinePerf(cfg Config, quick bool) (PerfReport, error) {
 
 	ctx := context.Background()
 	var freshNs float64
-	for _, name := range []string{"hmine", "rp-hmine", "rp-fptree", "rp-treeproj"} {
+	for _, name := range []string{"hmine", "fptree", "treeproj", "rp-hmine", "rp-fptree", "rp-treeproj"} {
 		d, _ := engine.Lookup(name)
 		var c mining.Count
 		var run func() error
@@ -271,7 +272,7 @@ func MinePerf(cfg Config, quick bool) (PerfReport, error) {
 		}
 		e := entryOf(r, "mine", "connect4", name)
 		e.Patterns = len(fp)
-		if d.Kind == engine.Fresh {
+		if name == "hmine" {
 			freshNs = e.NsPerOp
 		}
 		e.SpeedupVsSerial = freshNs / e.NsPerOp

@@ -46,6 +46,41 @@ func MineEncodedCDB(ctx context.Context, e EncodedMiner, cdb *CDB, minCount int,
 	return e.MineEncoded(ctx, blocks, loose, flist, nil, minCount, sink)
 }
 
+// Ungrouped runs an EncodedMiner as a fresh mining.Miner: an uncompressed
+// database is a compressed one with no groups, on which each recycling
+// engine does exactly the work of the algorithm it adapts. The registry's
+// fresh fptree and treeproj are Recycle-FP and Recycle-TP served this way.
+type Ungrouped struct {
+	name string
+	eng  EncodedMiner
+}
+
+// NewUngrouped returns eng as a fresh miner registered under name.
+func NewUngrouped(name string, eng EncodedMiner) Ungrouped {
+	return Ungrouped{name: name, eng: eng}
+}
+
+// Name implements mining.Miner.
+func (u Ungrouped) Name() string { return u.name }
+
+// Mine implements mining.Miner.
+func (u Ungrouped) Mine(db *dataset.DB, minCount int, sink mining.Sink) error {
+	return u.MineContext(context.Background(), db, minCount, sink)
+}
+
+// MineContext implements mining.ContextMiner: MineEncodedCDB over a
+// database whose every tuple is loose.
+func (u Ungrouped) MineContext(ctx context.Context, db *dataset.DB, minCount int, sink mining.Sink) error {
+	if minCount < 1 {
+		return mining.ErrBadMinSupport
+	}
+	flist := mining.BuildFList(db, minCount)
+	if flist.Len() == 0 {
+		return ctx.Err()
+	}
+	return u.eng.MineEncoded(ctx, nil, flist.EncodeDB(db), flist, nil, minCount, sink)
+}
+
 // Cancellable brackets one encoded mine with the checks every engine
 // shares: a context already done mines nothing, minCount must be positive,
 // and a cancellation seen by the time mine returns is reported even when

@@ -24,13 +24,11 @@ import (
 	"gogreen/internal/apriori"
 	"gogreen/internal/core"
 	"gogreen/internal/eclat"
-	"gogreen/internal/fptree"
 	"gogreen/internal/hmine"
 	"gogreen/internal/mining"
 	"gogreen/internal/rpfptree"
 	"gogreen/internal/rphmine"
 	"gogreen/internal/rptreeproj"
-	"gogreen/internal/treeproj"
 )
 
 // Kind says which database shape an algorithm mines.
@@ -81,9 +79,9 @@ var registry = []Descriptor{
 	{Name: "hmine", Kind: Fresh, Summary: "H-Mine: hyper-structure, pseudo-projection",
 		Miner: func() mining.Miner { return hmine.New() }},
 	{Name: "fptree", Kind: Fresh, Summary: "FP-growth: prefix-tree projection",
-		Miner: func() mining.Miner { return fptree.New() }},
+		Miner: func() mining.Miner { return core.NewUngrouped("fptree", rpfptree.New()) }},
 	{Name: "treeproj", Kind: Fresh, Summary: "Tree Projection: depth-first, matrix counting",
-		Miner: func() mining.Miner { return treeproj.New() }},
+		Miner: func() mining.Miner { return core.NewUngrouped("treeproj", rptreeproj.New()) }},
 	{Name: "eclat", Kind: Fresh, Summary: "Eclat: vertical tid-list intersection",
 		Miner: func() mining.Miner { return eclat.New() }},
 	{Name: "rp-naive", Kind: Recycled, Summary: "naive RP-Mine over the compressed DB (Figure 3)",

@@ -6,6 +6,7 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -241,6 +242,58 @@ func TestRecycledEngines(t *testing.T) {
 		}
 		for _, c := range checks {
 			t.Run(d.Name+"/"+c.name, func(t *testing.T) { c.check(t, d.Engine()) })
+		}
+	}
+}
+
+// TestFreshMiners runs the fresh-miner cases (Apriori oracle on the paper's
+// example and on random databases, argument checks, the empty database and
+// identical transactions) over every fresh registry entry, including fptree
+// and treeproj, which are recycling engines run over a database with no
+// groups.
+func TestFreshMiners(t *testing.T) {
+	checks := []struct {
+		name  string
+		check func(*testing.T, mining.Miner)
+	}{
+		{"PaperExample", func(t *testing.T, m mining.Miner) {
+			for min := 3; min >= 1; min-- {
+				testutil.CheckAgainstOracle(t, m, testutil.PaperDB(), min)
+			}
+		}},
+		{"CrossCheck", testutil.CrossCheck},
+		{"BadMinSupport", func(t *testing.T, m mining.Miner) {
+			err := m.Mine(dataset.New(nil), 0, mining.SinkFunc(func([]dataset.Item, int) {}))
+			if !errors.Is(err, mining.ErrBadMinSupport) {
+				t.Errorf("got %v, want ErrBadMinSupport", err)
+			}
+		}},
+		{"EmptyDB", func(t *testing.T, m mining.Miner) {
+			var c mining.Collector
+			if err := m.Mine(dataset.New(nil), 1, &c); err != nil {
+				t.Fatal(err)
+			}
+			if len(c.Patterns) != 0 {
+				t.Errorf("got %d patterns from empty db", len(c.Patterns))
+			}
+		}},
+		// Many copies of one tuple: heavy prefix sharing, one single path.
+		{"IdenticalTransactions", func(t *testing.T, m mining.Miner) {
+			tx := make([][]dataset.Item, 50)
+			for i := range tx {
+				tx[i] = []dataset.Item{1, 3, 5, 7}
+			}
+			db := dataset.New(tx)
+			testutil.CheckAgainstOracle(t, m, db, 50)
+			testutil.CheckAgainstOracle(t, m, db, 1)
+		}},
+	}
+	for _, d := range engine.Descriptors() {
+		if d.Kind != engine.Fresh {
+			continue
+		}
+		for _, c := range checks {
+			t.Run(d.Name+"/"+c.name, func(t *testing.T) { c.check(t, d.Miner()) })
 		}
 	}
 }

@@ -81,35 +81,3 @@ func FuzzReadCDBRecords(f *testing.F) {
 		}
 	})
 }
-
-// FuzzReadTxRecords hammers the plain-tuple decoder the same way.
-func FuzzReadTxRecords(f *testing.F) {
-	var buf bytes.Buffer
-	w := &partWriter{w: newTestBufio(&buf)}
-	w.writeTuple([]dataset.Item{1, 2, 3})
-	w.writeTuple([]dataset.Item{10})
-	w.w.Flush()
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte{tagTuple, 1, 1})
-	f.Add([]byte{tagBlock}) // block tag is corrupt in a tx partition
-	f.Add([]byte{tagTuple, 0xff, 0xff, 0xff, 0xff, 0x7f})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tx, err := readTxRecords(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		w := &partWriter{w: newTestBufio(&out)}
-		for _, tuple := range tx {
-			w.writeTuple(tuple)
-		}
-		if err := w.w.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		tx2, err := readTxRecords(bytes.NewReader(out.Bytes()))
-		if err != nil || len(tx2) != len(tx) {
-			t.Fatalf("round trip: %v (%d vs %d tuples)", err, len(tx), len(tx2))
-		}
-	})
-}

@@ -5,11 +5,12 @@
 // contains — and each partition is mined recursively, going back to disk
 // again if a partition itself exceeds the budget.
 //
-// Two drivers are provided, matching the paper's figures 21-24: MineCDB for
-// the recycling algorithms (partitions hold projected compressed databases)
-// and MineDB for the H-Mine baseline (partitions hold plain projected
-// databases). Both estimate memory from the same cost model, so the budget
-// comparison is apples-to-apples.
+// Two entry points match the paper's figures 21-24: MineCDB for the
+// recycling algorithms and MineDB for the H-Mine baseline. They share one
+// driver: an uncompressed database is a compressed one with no groups, and
+// it only ever projects to partitions with no groups. So both spill the
+// same record format and estimate memory from the same cost model, and the
+// budget comparison is apples-to-apples; only the in-memory leaf differs.
 package memlimit
 
 import (
@@ -52,16 +53,6 @@ const bytesPerItem = 8
 // pointer entry).
 const tupleOverhead = 32
 
-// EstimateTxBytes models the in-memory footprint of a plain projected
-// database (H-Mine structures over the given suffixes).
-func EstimateTxBytes(tx [][]dataset.Item) int64 {
-	var items int64
-	for _, t := range tx {
-		items += int64(len(t))
-	}
-	return items*bytesPerItem + int64(len(tx))*tupleOverhead
-}
-
 // EstimatePatternBytes models the in-memory footprint of a materialized
 // frequent-pattern set (item slices plus per-pattern bookkeeping) with the
 // same cost model as the database estimators, so the lattice cache's byte
@@ -83,7 +74,9 @@ func EstimatePatternBytesFromCounts(patterns int, items int64) int64 {
 }
 
 // EstimateCDBBytes models the in-memory footprint of an encoded compressed
-// database (RP-Struct arena, spans, and per-block bookkeeping).
+// database (RP-Struct arena, spans, and per-block bookkeeping). With no
+// blocks it models a plain projected database (H-Mine structures over the
+// loose tuples).
 func EstimateCDBBytes(blocks []core.Block, loose [][]dataset.Item) int64 {
 	var items, tuples int64
 	for i := range blocks {
@@ -113,12 +106,11 @@ func MineCDB(cdb *core.CDB, minCount int, cfg Config, sink mining.Sink) error {
 		return nil
 	}
 	blocks, loose := core.EncodeCDB(cdb, flist)
-	d, err := newDriver(cfg)
-	if err != nil {
-		return err
+	eng := cfg.Engine
+	if eng == nil {
+		eng = rphmine.New()
 	}
-	defer d.close()
-	return d.mineCDB(blocks, loose, flist, nil, minCount, sink)
+	return run(cfg, eng.MineEncoded, blocks, loose, flist, minCount, sink)
 }
 
 // MineDB mines an uncompressed database under the memory budget with the
@@ -131,34 +123,37 @@ func MineDB(db *dataset.DB, minCount int, cfg Config, sink mining.Sink) error {
 	if flist.Len() == 0 {
 		return nil
 	}
-	tx := flist.EncodeDB(db)
-	d, err := newDriver(cfg)
-	if err != nil {
-		return err
+	// Every partition of a database with no groups has no groups either,
+	// so the leaf only ever sees loose tuples.
+	leaf := func(ctx context.Context, _ []core.Block, tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
+		return hmine.MineProjected(ctx, tx, flist, prefix, minCount, sink)
 	}
-	defer d.close()
-	return d.mineDB(tx, flist, nil, minCount, sink)
+	return run(cfg, leaf, nil, flist.EncodeDB(db), flist, minCount, sink)
 }
+
+// leafFunc mines one encoded (projected) database that fits the budget; it
+// has the shape of core.EncodedMiner.MineEncoded.
+type leafFunc func(ctx context.Context, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error
 
 // driver owns the temp directory and partition numbering of one run.
 type driver struct {
-	cfg  Config
-	dir  string
-	next int
+	budget int64
+	leaf   leafFunc
+	dir    string
+	next   int
 }
 
-func newDriver(cfg Config) (*driver, error) {
+// run mines one encoded database under cfg's budget with leaf, spilling
+// partitions to a temp directory it removes on return.
+func run(cfg Config, leaf leafFunc, blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, minCount int, sink mining.Sink) error {
 	dir, err := os.MkdirTemp(cfg.TempDir, "gogreen-memlimit-")
 	if err != nil {
-		return nil, fmt.Errorf("memlimit: %w", err)
+		return fmt.Errorf("memlimit: %w", err)
 	}
-	if cfg.Engine == nil {
-		cfg.Engine = rphmine.New()
-	}
-	return &driver{cfg: cfg, dir: dir}, nil
+	defer os.RemoveAll(dir)
+	d := &driver{budget: cfg.Budget, leaf: leaf, dir: dir}
+	return d.mineCDB(blocks, loose, flist, nil, minCount, sink)
 }
-
-func (d *driver) close() { os.RemoveAll(d.dir) }
 
 func (d *driver) partPath() string {
 	d.next++
@@ -167,8 +162,8 @@ func (d *driver) partPath() string {
 
 // mineCDB handles one (projected) compressed database.
 func (d *driver) mineCDB(blocks []core.Block, loose [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	if EstimateCDBBytes(blocks, loose) <= d.cfg.Budget {
-		return d.cfg.Engine.MineEncoded(context.TODO(), blocks, loose, flist, prefix, minCount, sink)
+	if EstimateCDBBytes(blocks, loose) <= d.budget {
+		return d.leaf(context.TODO(), blocks, loose, flist, prefix, minCount, sink)
 	}
 
 	// Over budget: parallel-project to disk, one partition per frequent
@@ -197,7 +192,7 @@ func (d *driver) mineCDB(blocks []core.Block, loose [][]dataset.Item, flist *min
 
 	// Each projection strictly shrinks tuples (items <= r drop). If the
 	// whole database is one unsplittable unit the budget cannot be met.
-	if len(frequent) == 1 && EstimateCDBBytes(blocks, loose) > d.cfg.Budget {
+	if len(frequent) == 1 {
 		sub, subLoose := core.Project(blocks, loose, frequent[0])
 		if EstimateCDBBytes(sub, subLoose) >= EstimateCDBBytes(blocks, loose) {
 			return ErrBudgetTooSmall
@@ -282,93 +277,6 @@ func (d *driver) mineCDB(blocks []core.Block, loose [][]dataset.Item, flist *min
 		}
 	}
 	return nil
-}
-
-// mineDB handles one (projected) uncompressed database.
-func (d *driver) mineDB(tx [][]dataset.Item, flist *mining.FList, prefix []dataset.Item, minCount int, sink mining.Sink) error {
-	if EstimateTxBytes(tx) <= d.cfg.Budget {
-		return hmine.MineProjected(context.TODO(), tx, flist, prefix, minCount, sink)
-	}
-	counts := make(map[dataset.Item]int)
-	for _, t := range tx {
-		for _, it := range t {
-			counts[it]++
-		}
-	}
-	frequent := frequentItems(counts, minCount)
-	if len(frequent) == 0 {
-		return nil
-	}
-	if len(frequent) == 1 {
-		sub := projectTx(tx, frequent[0])
-		if EstimateTxBytes(sub) >= EstimateTxBytes(tx) {
-			return ErrBudgetTooSmall
-		}
-	}
-
-	paths := make(map[dataset.Item]string, len(frequent))
-	writers := make(map[dataset.Item]*partWriter, len(frequent))
-	for _, r := range frequent {
-		p := d.partPath()
-		w, err := newPartWriter(p)
-		if err != nil {
-			return err
-		}
-		paths[r] = p
-		writers[r] = w
-	}
-	for _, t := range tx {
-		for i, r := range t {
-			if w := writers[r]; w != nil && i+1 < len(t) {
-				if err := w.writeTuple(t[i+1:]); err != nil {
-					return abortParts(writers, paths, err)
-				}
-			}
-		}
-	}
-	for _, w := range writers {
-		if err := w.closeFlush(); err != nil {
-			return abortParts(writers, paths, err)
-		}
-	}
-
-	dec := make([]dataset.Item, len(prefix)+1)
-	prefix = append(append([]dataset.Item(nil), prefix...), 0)
-	for _, r := range frequent {
-		prefix[len(prefix)-1] = r
-		sink.Emit(flist.DecodeInto(dec, prefix), counts[r])
-		sub, err := readTxPart(paths[r])
-		if err != nil {
-			return err
-		}
-		os.Remove(paths[r])
-		if len(sub) == 0 {
-			continue
-		}
-		if err := d.mineDB(sub, flist, prefix, minCount, sink); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// projectTx builds the r-projected plain database.
-func projectTx(tx [][]dataset.Item, r dataset.Item) [][]dataset.Item {
-	var out [][]dataset.Item
-	for _, t := range tx {
-		for i, it := range t {
-			if it == r {
-				if i+1 < len(t) {
-					out = append(out, t[i+1:])
-				}
-				break
-			}
-			if it > r {
-				break
-			}
-		}
-	}
-	return out
 }
 
 // frequentItems returns the items with count >= minCount in ascending rank

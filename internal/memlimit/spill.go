@@ -228,40 +228,6 @@ func errTruncated(err error) error {
 	return err
 }
 
-// readTxPart loads a plain-tuple partition.
-func readTxPart(path string) ([][]dataset.Item, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("memlimit: %w", err)
-	}
-	defer f.Close()
-	return readTxRecords(bufio.NewReaderSize(f, 1<<16))
-}
-
-// readTxRecords decodes a plain-tuple record stream. Split from the path
-// wrapper so the decoder can be fuzzed on raw bytes.
-func readTxRecords(r io.Reader) ([][]dataset.Item, error) {
-	p := &partReader{r: asByteReader(r)}
-	var out [][]dataset.Item
-	for {
-		tag, err := p.uvarint()
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, errTruncated(err)
-		}
-		if tag != tagTuple {
-			return nil, ErrCorruptPartition
-		}
-		t, err := p.items()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-}
-
 // readCDBPart loads a compressed partition.
 func readCDBPart(path string) ([]core.Block, [][]dataset.Item, error) {
 	f, err := os.Open(path)

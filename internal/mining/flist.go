@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"slices"
 	"sort"
 
 	"gogreen/internal/dataset"
@@ -71,14 +72,19 @@ func (f *FList) Frequent(it dataset.Item) bool { return f.Rank(it) >= 0 }
 // (least frequent first). Miners that divide-and-conquer over the F-list
 // operate on rank-encoded transactions.
 func (f *FList) Encode(t []dataset.Item) []dataset.Item {
-	out := make([]dataset.Item, 0, len(t))
+	return f.appendEncoded(make([]dataset.Item, 0, len(t)), t)
+}
+
+// appendEncoded appends the rank encoding of t (ascending) to dst.
+func (f *FList) appendEncoded(dst, t []dataset.Item) []dataset.Item {
+	start := len(dst)
 	for _, it := range t {
 		if r := f.Rank(it); r >= 0 {
-			out = append(out, dataset.Item(r))
+			dst = append(dst, dataset.Item(r))
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[start:])
+	return dst
 }
 
 // Decode maps rank-space items back to original item ids.
@@ -104,11 +110,23 @@ func (f *FList) DecodeInto(dst []dataset.Item, ranks []dataset.Item) []dataset.I
 // EncodeDB rank-encodes the entire database, dropping transactions that
 // become empty. The result is suitable for miners working in rank space.
 func (f *FList) EncodeDB(db *dataset.DB) [][]dataset.Item {
+	n := 0
+	for _, t := range db.All() {
+		for _, it := range t {
+			if f.Frequent(it) {
+				n++
+			}
+		}
+	}
+	// One slab holds every encoded tuple; each tuple's capacity is capped,
+	// so an append to one cannot overwrite the next.
+	slab := make([]dataset.Item, 0, n)
 	out := make([][]dataset.Item, 0, db.Len())
 	for _, t := range db.All() {
-		e := f.Encode(t)
-		if len(e) > 0 {
-			out = append(out, e)
+		start := len(slab)
+		slab = f.appendEncoded(slab, t)
+		if len(slab) > start {
+			out = append(out, slab[start:len(slab):len(slab)])
 		}
 	}
 	return out

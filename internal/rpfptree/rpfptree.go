@@ -22,10 +22,15 @@
 // A conditional tree that consists of one special node with no children is
 // finished by combination enumeration (Lemma 3.1); a pure-real single path
 // uses the classic FP-growth single-path shortcut.
+//
+// Over a database with no groups every tree holds only real nodes and this
+// is FP-growth itself (Han, Pei, Yin — reference [10] of the paper): the
+// registry's fresh fptree runs this engine that way (core.Ungrouped).
 package rpfptree
 
 import (
 	"context"
+	"math/bits"
 
 	"gogreen/internal/core"
 	"gogreen/internal/dataset"
@@ -67,17 +72,22 @@ func childKey(group int32, item dataset.Item) int64 {
 // per-node allocation cost lived. Conditional trees are strictly nested in
 // the growth recursion, so a mark/release pair around each conditional
 // tree's lifetime reclaims its nodes LIFO-style with no bookkeeping.
+//
+// Chunk i holds firstChunk<<i nodes: a tiny database allocates one small
+// chunk, a large one a handful of doubling chunks.
 type nodeArena struct {
 	chunks [][]node
 	n      int // nodes currently in use
 }
 
-const arenaChunk = 256
+const firstChunk = 16
 
 func (a *nodeArena) get(item dataset.Item, group int32, parent *node) *node {
-	ci, off := a.n/arenaChunk, a.n%arenaChunk
+	// Chunks 0..ci-1 hold firstChunk*(2^ci - 1) nodes in all.
+	ci := bits.Len(uint(a.n/firstChunk+1)) - 1
+	off := a.n - firstChunk*(1<<ci-1)
 	if ci == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]node, arenaChunk))
+		a.chunks = append(a.chunks, make([]node, firstChunk<<ci))
 	}
 	a.n++
 	nd := &a.chunks[ci][off]
@@ -127,8 +137,12 @@ type pathEntry struct {
 }
 
 // groupsWith returns the indices of groups whose pattern contains it,
-// building the group-by-item index on first use.
+// building the group-by-item index on first use (never for a tree with no
+// groups, such as every tree of an uncompressed database).
 func (tr *tree) groupsWith(it dataset.Item) []int32 {
+	if len(tr.groups) == 0 {
+		return nil
+	}
 	if !tr.byBuilt {
 		if len(tr.byItem) < tr.nItems {
 			tr.byItem = make([][]int32, tr.nItems)

@@ -1,13 +1,16 @@
 // Package rptreeproj adapts the depth-first Tree Projection algorithm to
 // compressed databases — the paper's Recycle-TP (Section 4.2).
 //
-// As in the uncompressed version (internal/treeproj), the lexicographic tree
-// is walked depth-first with a triangular matrix counting all two-item
-// extensions of a node in one scan. The projected sets kept at each node are
-// compressed: group blocks carry their pattern once with a member count, so
-// both the extension counting and the matrix counting touch a block's
-// pattern once per node — pattern-pattern pairs are counted at block count
-// in O(|pattern|²) instead of per member tuple.
+// As in the uncompressed algorithm (Agarwal, Aggarwal, Prasad — reference
+// [4] of the paper), the lexicographic tree is walked depth-first with a
+// triangular matrix counting all two-item extensions of a node in one scan.
+// The projected sets kept at each node are compressed: group blocks carry
+// their pattern once with a member count, so both the extension counting
+// and the matrix counting touch a block's pattern once per node —
+// pattern-pattern pairs are counted at block count in O(|pattern|²) instead
+// of per member tuple. Over a database with no groups every tuple is loose
+// and this is Tree Projection itself: the registry's fresh treeproj runs
+// this engine that way (core.Ungrouped).
 package rptreeproj
 
 import (

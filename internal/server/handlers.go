@@ -193,8 +193,14 @@ func (s *Server) handlePut(w http.ResponseWriter, r *http.Request) {
 				s.failQuota(w, qe)
 				return
 			}
+			// Lock the entry before publishing it, so no request sees it
+			// without its database. Nothing else can hold e.mu yet, so the
+			// lock order stays s.mu → e.mu.
 			e = &entry{id: id, sets: map[string]*savedSet{}, owner: tenant}
+			e.mu.Lock()
 			s.dbs[id] = e
+			s.mu.Unlock()
+			break
 		}
 		s.mu.Unlock()
 

@@ -516,7 +516,7 @@ func (s *Server) spillIfCold(e *entry, cutoff time.Time) {
 
 // hydrateLocked loads a cold stub's content back from the segment store;
 // caller holds e.mu. It is a no-op for resident entries and an error for
-// deleted ones and for a new id whose first upload is still in flight. Saved sets keep their stub structs (and their
+// deleted ones. Saved sets keep their stub structs (and their
 // already-accounted quota bytes — the stub estimate and the loaded estimate
 // share one formula); the persisted lattice ladder is re-installed into the
 // memory lattice store under the fresh *dataset.DB identity.
@@ -526,11 +526,7 @@ func (s *Server) hydrateLocked(e *entry) error {
 	}
 	if e.resident || s.disk == nil {
 		// Without a disk there is nothing to hydrate from — and nothing can
-		// have been spilled. An entry without content here is a new id
-		// whose first PUT has not filled it in yet.
-		if e.db == nil {
-			return fmt.Errorf("no database %q", e.id)
-		}
+		// have been spilled.
 		return nil
 	}
 	db, err := s.disk.LoadDB(e.id)

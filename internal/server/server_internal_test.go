@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -131,16 +133,67 @@ func TestDeleteMidMineRefundsExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestMineBeforeFirstUpload: a PUT of a new id publishes its entry before
-// filling it in, so a mine that finds the entry first gets "no database"
-// instead of mining a nil database.
-func TestMineBeforeFirstUpload(t *testing.T) {
-	s := New()
-	defer s.Shutdown(context.Background())
-	e := &entry{id: "d", sets: map[string]*savedSet{}}
-	s.dbs["d"] = e
-	if _, err := s.mine(context.Background(), e, MineRequest{}, 2); err == nil || !strings.Contains(err.Error(), "no database") {
-		t.Fatalf("mine before the first upload: err = %v, want no database", err)
+// TestFirstUploadRace races the first PUT of new ids against mines and
+// reads of the same ids on a durable server. A request that finds the id
+// before its upload is acknowledged must see either no database (404) or
+// the uploaded one; it must never reach the store for content that is not
+// there yet (a 500).
+func TestFirstUploadRace(t *testing.T) {
+	s, err := Open(WithDataDir(t.TempDir()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		s.Shutdown(context.Background())
+		s.Close()
+	}()
+	h := s.Handler()
+	// More Ps than CPUs preempts the PUT more often inside the window under
+	// test.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const rounds, readers = 1000, 3
+	for k := 0; k < rounds; k++ {
+		id := fmt.Sprintf("new-%d", k)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if resp, body := doReq(t, h, "PUT", "/db/"+id, "1 2\n1 2\n2 3\n", nil); resp.StatusCode != http.StatusCreated {
+				t.Errorf("put %s: %d %s", id, resp.StatusCode, body)
+			}
+		}()
+		for r := 0; r < readers; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				<-start
+				// Poll until the upload is visible, at most a bounded number
+				// of times so a lost PUT fails instead of hanging.
+				for i := 0; i < 10000; i++ {
+					var resp *http.Response
+					var body []byte
+					if r == 0 {
+						resp, body = doReq(t, h, "GET", "/db/"+id+"/lattice", "", nil)
+					} else {
+						resp, body = doReq(t, h, "POST", "/db/"+id+"/mine", `{"min_count":2}`, nil)
+					}
+					switch resp.StatusCode {
+					case http.StatusOK:
+						return
+					case http.StatusNotFound:
+						runtime.Gosched()
+					default:
+						t.Errorf("request on %s during its first upload: %d %s", id, resp.StatusCode, body)
+						return
+					}
+				}
+				t.Errorf("%s never became visible", id)
+			}(r)
+		}
+		close(start)
+		wg.Wait()
 	}
 }
 
